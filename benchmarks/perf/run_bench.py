@@ -30,10 +30,6 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   the sampled sizes), plus -- in full mode -- the Fig. 5 paper-scale
   end-to-end run (10k-flow Poisson web-search workload, Oracle +
   NUMFabric), which the roadmap requires to finish in under a minute;
-* the compiled kernels (:mod:`repro.fluid.kernels`): the NumPy water-fill
-  and fused dual paths against the numba CSR kernels on identical
-  instances, JIT warm-up excluded, parity-gated at 1e-9 / 1e-6 -- the
-  compiled columns are null (and skipped) when numba is not installed;
 * the streaming result layer: the same sized websearch replay through the
   bounded-memory streaming executor and the materializing flow engine
   (each in its own subprocess so peak RSS is comparable), with the
@@ -92,8 +88,6 @@ if _SRC not in sys.path:  # allow running without installation
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility
 from repro.experiments.dynamic_fluid import EqualSharePolicy, FlowLevelSimulation
 from repro.experiments.fig5_dynamic import DeviationSettings, run_deviation_experiment
-from repro.fluid import kernels as fluid_kernels
-from repro.fluid import oracle as fluid_oracle
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.maxmin import weighted_max_min
@@ -379,7 +373,7 @@ def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
         for event, warm in zip(trace, persistent_results):
             _apply_churn_event(network, event)
             cold = solve_num(
-                network, solver="scipy", tolerance=1e-14, max_iterations=20000,
+                network, tolerance=1e-14, max_iterations=20000,
                 safeguard=False,
             )
             max_diff = max(max_diff, _max_rel_rate_diff(cold.rates, warm.rates))
@@ -529,127 +523,6 @@ def bench_waterfill(flow_counts: List[int], repeats: int) -> List[Dict]:
             }
         )
     return rows
-
-
-def bench_kernels(flow_counts: List[int], repeats: int) -> Dict:
-    """NumPy vs compiled (numba) kernel rows for the two fluid hot loops.
-
-    Each row times the NumPy reference path and -- where numba is
-    installed -- the compiled CSR kernel on the same instance, with the
-    first jitted call (the JIT compile; ``cache=True`` pays it once per
-    machine) excluded from the timed loop and the kernel result gated
-    against the NumPy one.  Without numba the compiled columns are null:
-    timing the pure-Python twin would measure a path no caller runs.
-    """
-    have_numba = fluid_kernels.HAVE_NUMBA
-    waterfill_rows = []
-    for n_flows in flow_counts:
-        rng = random.Random(9)
-        compiled = _waterfill_instance(n_flows)
-        weight_vec = np.array([rng.uniform(0.5, 4.0) for _ in compiled.flow_ids])
-        capacities = compiled.capacities_vector()
-        reference = waterfill_arrays(
-            compiled.incidence, compiled.incidence_f, weight_vec, capacities
-        )
-        start = time.perf_counter()
-        for _ in range(repeats):
-            waterfill_arrays(
-                compiled.incidence, compiled.incidence_f, weight_vec, capacities
-            )
-        numpy_s = time.perf_counter() - start
-        numba_s = speedup = parity = None
-        if have_numba:
-            csr = fluid_kernels.build_csr(compiled.incidence)
-            kernel_rates = waterfill_arrays(  # warm-up: triggers the JIT compile
-                compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-                kernel="numba", csr=csr,
-            )
-            start = time.perf_counter()
-            for _ in range(repeats):
-                waterfill_arrays(
-                    compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-                    kernel="numba", csr=csr,
-                )
-            numba_s = time.perf_counter() - start
-            speedup = numpy_s / numba_s if numba_s > 0 else float("inf")
-            scale = float(np.max(capacities))
-            parity = float(np.max(np.abs(kernel_rates - reference)) / scale)
-        waterfill_rows.append(
-            {
-                "flows": n_flows,
-                "repeats": repeats,
-                "numpy_seconds": numpy_s,
-                "numba_seconds": numba_s,
-                "speedup": speedup,
-                "max_rel_rate_diff": parity,
-            }
-        )
-
-    dual_rows = []
-    for n_flows in flow_counts:
-        network = build_network(n_flows, seed=3, utilities="log")
-        compiled = compile_network(network)
-        vec_utils = compiled.vec_utils
-        caps_all = compiled.capacities_vector()
-        active = compiled.incidence.any(axis=1) & (caps_all > 0.0)
-        incidence = compiled.incidence[active]
-        incidence_f = compiled.incidence_f[active]
-        capacities = caps_all[active]
-        path_caps = compiled.path_capacities(caps_all)
-        floors = path_caps * fluid_oracle._MIN_RATE_FRACTION
-        scale_vec = 1.0 / capacities
-        objective_scale = float(np.max(capacities) * np.median(scale_vec))
-
-        def numpy_dual(z):
-            prices = scale_vec * z
-            path_prices = incidence_f.T @ prices
-            rates = np.maximum(
-                vec_utils.inverse_marginal_clipped(path_prices, path_caps), floors
-            )
-            value = float(
-                prices @ capacities + vec_utils.value(rates).sum() - rates @ path_prices
-            )
-            gradient = scale_vec * (capacities - incidence_f @ rates)
-            return value / objective_scale, gradient / objective_scale
-
-        z = np.full(capacities.size, 0.5)
-        value_np, grad_np = numpy_dual(z)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            numpy_dual(z)
-        numpy_s = time.perf_counter() - start
-        numba_s = speedup = parity = None
-        fused = fluid_oracle._kernel_dual_closure(
-            vec_utils, incidence, scale_vec, capacities, path_caps, floors,
-            objective_scale,
-        )
-        if fused is not None:  # numba installed and utilities closed-form
-            value_k, grad_k = fused(z)  # warm-up: triggers the JIT compile
-            start = time.perf_counter()
-            for _ in range(repeats):
-                fused(z)
-            numba_s = time.perf_counter() - start
-            speedup = numpy_s / numba_s if numba_s > 0 else float("inf")
-            ref = max(abs(value_np), float(np.max(np.abs(grad_np))), 1e-12)
-            parity = float(
-                max(abs(value_k - value_np), float(np.max(np.abs(grad_k - grad_np))))
-                / ref
-            )
-        dual_rows.append(
-            {
-                "flows": n_flows,
-                "repeats": repeats,
-                "numpy_seconds": numpy_s,
-                "numba_seconds": numba_s,
-                "speedup": speedup,
-                "max_rel_diff": parity,
-            }
-        )
-    return {
-        "have_numba": have_numba,
-        "waterfill": waterfill_rows,
-        "fused_dual": dual_rows,
-    }
 
 
 def _flow_level_arrivals(n_flows: int, seed: int = 7) -> List:
@@ -992,16 +865,6 @@ def enforce_parity(results: Dict) -> None:
     for row in results.get("incidence", ()):
         if not row["identical"]:
             failures.append(("incidence", row["flows"], float("inf")))
-    kernels = results.get("kernels")
-    if kernels is not None:
-        # The compiled columns are null without numba; parity is only
-        # checkable (and only meaningful) where the kernels actually ran.
-        for row in kernels["waterfill"]:
-            if row["max_rel_rate_diff"] is not None and row["max_rel_rate_diff"] > PARITY_TOLERANCE:
-                failures.append(("kernels.waterfill", row["flows"], row["max_rel_rate_diff"]))
-        for row in kernels["fused_dual"]:
-            if row["max_rel_diff"] is not None and row["max_rel_diff"] > ORACLE_PARITY_TOLERANCE:
-                failures.append(("kernels.fused_dual", row["flows"], row["max_rel_diff"]))
     for row in results["flow_level"]:
         # Rows beyond the dict sampling limit carry no parity number.
         if row["max_rel_fct_diff"] is not None and row["max_rel_fct_diff"] > PARITY_TOLERANCE:
@@ -1036,7 +899,6 @@ def run(smoke: bool = False) -> Dict:
         persistent_counts, churn_events = [50], 15
         incidence_counts, incidence_events = [50], 40
         waterfill_counts, waterfill_repeats = [20, 50], 3
-        kernel_counts, kernel_repeats = [20, 50], 3
         flow_level_counts, dict_limit = [100], None
         engine_events, port_packets = 10_000, 2_000
         streaming_flows = 1_500
@@ -1046,7 +908,6 @@ def run(smoke: bool = False) -> Dict:
         persistent_counts, churn_events = [200, 1000], 40
         incidence_counts, incidence_events = [200, 1000], 200
         waterfill_counts, waterfill_repeats = [50, 200, 1000], 20
-        kernel_counts, kernel_repeats = [50, 200, 1000], 20
         # The dict reference loop at 10k flows used to burn ~3 minutes of
         # full-mode bench time; parity stays pinned at the sampled sizes.
         flow_level_counts, dict_limit = [500, 2000, 10_000], 2000
@@ -1068,7 +929,6 @@ def run(smoke: bool = False) -> Dict:
         "oracle_persistent": bench_oracle_persistent(persistent_counts, churn_events),
         "incidence": bench_incidence(incidence_counts, incidence_events),
         "waterfill": bench_waterfill(waterfill_counts, waterfill_repeats),
-        "kernels": bench_kernels(kernel_counts, kernel_repeats),
         "flow_level": bench_flow_level(flow_level_counts, dict_limit),
         "engine": bench_engine(engine_events, port_packets),
         "streaming_replay": bench_streaming_replay(streaming_flows),
@@ -1103,7 +963,6 @@ REQUIRED_SECTIONS = (
     "oracle_persistent",
     "incidence",
     "waterfill",
-    "kernels",
     "flow_level",
     "engine",
     "streaming_replay",
@@ -1220,23 +1079,6 @@ def main(argv: Optional[List[str]] = None) -> Dict:
             f"({row['rounds_batched']} rounds / {row['distinct_levels']} levels), "
             f"speedup {row['speedup']:.1f}x, max rate diff {row['max_rel_rate_diff']:.2e}"
         )
-    kernels = results["kernels"]
-    for name, rows, diff_key in (
-        ("kernel waterfill", kernels["waterfill"], "max_rel_rate_diff"),
-        ("kernel fused-dual", kernels["fused_dual"], "max_rel_diff"),
-    ):
-        for row in rows:
-            if row["numba_seconds"] is None:
-                print(
-                    f"{name} {row['flows']:>5} flows: numpy {row['numpy_seconds']:.3f}s "
-                    "(numba not installed; compiled columns skipped)"
-                )
-                continue
-            print(
-                f"{name} {row['flows']:>5} flows: numpy {row['numpy_seconds']:.3f}s, "
-                f"numba {row['numba_seconds']:.3f}s, speedup {row['speedup']:.1f}x, "
-                f"max diff {row[diff_key]:.2e}"
-            )
     for row in results["flow_level"]:
         if row["dict_seconds"] is None:
             print(

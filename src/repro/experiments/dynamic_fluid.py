@@ -164,8 +164,6 @@ class OracleRatePolicy(RatePolicy):
         safeguard: bool = False,
         tolerance: float = 1e-9,
         solver: str = "persistent",
-        inner: str = "spg",
-        kernel: Optional[str] = None,
     ):
         if solver not in ("persistent", "scipy"):
             raise ValueError(f"unknown oracle policy solver {solver!r}")
@@ -177,11 +175,6 @@ class OracleRatePolicy(RatePolicy):
         self.safeguard = safeguard
         self.tolerance = tolerance
         self.solver = solver
-        #: Persistent solver's inner minimizer ("spg"/"lbfgs") and the dual
-        #: evaluation kernel ("numpy"/"numba"/None for REPRO_KERNEL); both
-        #: forwarded to :class:`~repro.fluid.oracle.PersistentDualSolver`.
-        self.inner = inner
-        self.kernel = kernel
         self._persistent: Optional[PersistentDualSolver] = None
         self._cached: Optional[Dict[object, float]] = None
         self._prices: Optional[Dict[object, float]] = None
@@ -205,8 +198,6 @@ class OracleRatePolicy(RatePolicy):
                         tolerance=self.tolerance,
                         scale_refresh_interval=self.scale_refresh_interval,
                         safeguard=self.safeguard,
-                        inner=self.inner,
-                        kernel=self.kernel,
                     )
                 result = self._persistent.solve(network)
             else:
@@ -294,15 +285,13 @@ SCHEME_SIMULATORS: Dict[str, Callable] = {
 
 
 def scheme_rate_policy(
-    scheme: str, backend: str = "vectorized", params=None, kernel: Optional[str] = None
+    scheme: str, backend: str = "vectorized", params=None
 ) -> SimulatorRatePolicy:
     """A :class:`SimulatorRatePolicy` for a named scheme on a given backend.
 
     ``backend`` defaults to the vectorized fluid engine (every scheme's
     allocations match its scalar reference within 1e-9); pass
-    ``backend="scalar"`` for the reference implementation.  ``kernel``
-    selects the compiled waterfill for simulators that accept one
-    (currently xWI/NUMFabric); schemes without a kernel path ignore it.
+    ``backend="scalar"`` for the reference implementation.
     """
     try:
         simulator_cls = SCHEME_SIMULATORS[scheme]
@@ -310,14 +299,11 @@ def scheme_rate_policy(
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_SIMULATORS)}"
         ) from None
-    extra = {"kernel": kernel} if simulator_cls is XwiFluidSimulator else {}
     # The policy only reads each record's rates, so skip the per-step
     # price/queue/weight dict builds (record_detail=False) -- measurable at
     # the dynamic experiments' paper scale.
     return SimulatorRatePolicy(
-        lambda network: simulator_cls(
-            network, params=params, backend=backend, record_detail=False, **extra
-        )
+        lambda network: simulator_cls(network, params=params, backend=backend, record_detail=False)
     )
 
 
@@ -437,12 +423,15 @@ class FlowLevelSimulation:
         """Process all arrivals and run until every admitted flow completes.
 
         ``max_time`` truncates the simulation: flows still in flight at the
-        horizon never complete (and stay in the network).
+        horizon never complete (and stay in the network).  The array backend
+        runs the sorted list through :meth:`run_stream`, its one stepping
+        loop.
         """
         pending = sorted(arrivals, key=lambda a: a.time)
         if self.backend == "dict":
             return self._run_dict(pending, max_time)
-        return self._run_array(pending, max_time)
+        self.run_stream(ArrivalStream(pending), max_time)
+        return self.completed
 
     # -- shared admission helper ------------------------------------------
 
@@ -624,57 +613,6 @@ class FlowLevelSimulation:
         self._rate_cache_epoch = epoch
         return vector
 
-    def _run_array(
-        self, pending: List[FlowArrival], max_time: Optional[float]
-    ) -> List[CompletedFlow]:
-        time = 0.0
-        index = 0
-        horizon = max_time if max_time is not None else float("inf")
-        dt = self.step_interval
-
-        while time < horizon and (index < len(pending) or self._count):
-            self._inject_faults(time)
-            changed = False
-            while index < len(pending) and pending[index].time <= time:
-                arrival = pending[index]
-                self._admit(arrival)
-                self._append_flow(arrival)
-                index += 1
-                changed = True
-            if changed:
-                self.rate_policy.on_flow_set_changed(self.network)
-
-            if not self._count:
-                if index < len(pending):
-                    time = pending[index].time
-                    continue
-                break
-
-            rates = self.rate_policy.rates(self.network, dt)
-            rate_vec = self._gather_rates(rates)
-            remaining = self._remaining[: self._count]
-            # Identical per-element arithmetic to the dict backend:
-            # ``remaining - rate * dt / 8.0`` with the same operation order.
-            remaining -= rate_vec * dt / 8.0
-            time += dt
-            finished = remaining <= 0.0
-            if finished.any():
-                for slot in np.nonzero(finished)[0].tolist():
-                    flow_id = self._slots[slot]
-                    self._emit(
-                        CompletedFlow(
-                            flow_id=flow_id,
-                            size_bytes=int(self._sizes_arr[slot]),
-                            start_time=float(self._starts[slot]),
-                            finish_time=time,
-                        )
-                    )
-                    self.network.remove_flow(flow_id)
-                self._compact(~finished)
-                self.rate_policy.on_flow_set_changed(self.network)
-
-        return self.completed
-
     # -- streaming loop (bounded memory, resumable) -------------------------
 
     def run_stream(
@@ -689,9 +627,9 @@ class FlowLevelSimulation:
         one at a time from ``stream`` (which must be time-sorted -- see
         :class:`ArrivalStream`), completions are routed through
         :attr:`on_complete`, and with ``keep_completions=False`` nothing is
-        accumulated per flow.  Step arithmetic is identical to the array
-        backend of :meth:`run`, so an all-list run and a streamed run of
-        the same schedule produce bit-identical completion records.
+        accumulated per flow.  :meth:`run` on the array backend is this loop
+        over the sorted list, so an all-list run and a streamed run of the
+        same schedule produce bit-identical completion records.
 
         ``stop_at`` pauses the loop at the first step boundary at or after
         that simulated time and returns ``False`` (resume by calling again
@@ -734,7 +672,8 @@ class FlowLevelSimulation:
             rates = self.rate_policy.rates(self.network, dt)
             rate_vec = self._gather_rates(rates)
             remaining = self._remaining[: self._count]
-            # Identical per-element arithmetic to ``_run_array``.
+            # Identical per-element arithmetic to the dict backend:
+            # ``remaining - rate * dt / 8.0`` with the same operation order.
             remaining -= rate_vec * dt / 8.0
             time += dt
             finished = remaining <= 0.0

@@ -62,11 +62,7 @@ def weighted_max_min(
         on a static topology, compile the instance once with
         :class:`repro.fluid.vectorized.CompiledMaxMin` instead: it keeps the
         incidence matrix across calls, so each solve skips the dict-to-array
-        rebuild that dominates one-shot vectorized calls.  On top of either
-        compiled route, ``waterfill_arrays(..., kernel="numba")`` (or
-        ``REPRO_KERNEL=numba``) swaps in the compiled CSR water-fill from
-        :mod:`repro.fluid.kernels` when numba is installed -- same
-        allocation under the 1e-9 parity gate, NumPy fallback otherwise.
+        rebuild that dominates one-shot vectorized calls.
 
     Returns
     -------

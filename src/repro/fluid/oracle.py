@@ -36,13 +36,12 @@ state *and* the compiled incidence alive across flow-set changes (the
 incidence is patched incrementally from the network's churn journal), and
 replaces the scipy L-BFGS-B call -- whose per-call workspace setup is the
 dominant cost of warm-started dynamic solves -- with an in-repo projected
-spectral-gradient minimizer over preallocated arrays.  ``solver="scipy"``
-remains the parity reference.
+spectral-gradient (SPG) minimizer over preallocated arrays.
+:func:`solve_num` (always scipy L-BFGS-B) remains the parity reference.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -51,7 +50,6 @@ import numpy as np
 from scipy import optimize
 
 from repro.core.utility import _EPSILON
-from repro.fluid import kernels as _kernels
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
 from repro.fluid.vectorized import CompiledFluidNetwork, compile_network, waterfill_arrays
 
@@ -176,8 +174,6 @@ def solve_num(
     backend: str = "vectorized",
     price_scale: Optional[Mapping[LinkId, float]] = None,
     safeguard: bool = True,
-    solver: str = "scipy",
-    kernel: Optional[str] = None,
 ) -> OracleResult:
     """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c`` for single-path flows.
 
@@ -200,20 +196,6 @@ def solve_num(
         allocation and a primal SLSQP fallback is attempted if the dual
         stalled (very steep utilities).  Dynamic callers with
         well-conditioned utilities can disable it to shave per-solve cost.
-    solver:
-        ``"scipy"`` (default: L-BFGS-B, the parity reference), ``"spg"``
-        (the in-repo projected spectral-gradient minimizer of
-        :func:`_spg_minimize`, the one-shot form of what
-        :class:`PersistentDualSolver` runs with persistent state) or
-        ``"lbfgs"`` (the in-repo projected quasi-Newton minimizer of
-        :func:`_lbfgs_minimize`).
-    kernel:
-        ``"numba"`` evaluates the dual objective/gradient with the fused
-        compiled kernel of :mod:`repro.fluid.kernels` (vectorized backend,
-        closed-form utility families only; silently keeps the NumPy
-        closures otherwise).  ``None`` defers to the ``REPRO_KERNEL``
-        environment variable.  Parity with the NumPy closures is gated at
-        the oracle's established 1e-6.
 
     Links carrying no flows are excluded from the dual and reported with a
     price of exactly zero (their capacity cannot constrain anything).
@@ -223,8 +205,6 @@ def solve_num(
         raise ValueError("network contains multipath groups; use solve_num_multipath")
     if backend not in ("scalar", "vectorized"):
         raise ValueError(f"unknown oracle backend {backend!r}")
-    if solver not in ("scipy", "spg", "lbfgs"):
-        raise ValueError(f"unknown oracle solver {solver!r}")
     links = network.links
     if not flows:
         return OracleResult(rates={}, prices={link: 0.0 for link in links}, objective=0.0,
@@ -232,25 +212,16 @@ def solve_num(
     if backend == "vectorized":
         return _solve_num_vectorized(
             network, flows, links, max_iterations, tolerance, initial_prices,
-            price_scale, safeguard, solver, kernel,
+            price_scale, safeguard,
         )
     return _solve_num_scalar(
         network, flows, links, max_iterations, tolerance, initial_prices,
-        price_scale, safeguard, solver,
+        price_scale, safeguard,
     )
 
 
-def _dual_minimize(dual_and_gradient, z0: np.ndarray, max_iterations: int, tolerance: float,
-                   solver: str = "scipy", precondition: Optional[np.ndarray] = None):
-    """The shared dual minimization over non-negative scaled prices."""
-    if solver == "spg":
-        return _spg_minimize(
-            dual_and_gradient, z0, max_iterations, tolerance, precondition=precondition
-        )
-    if solver == "lbfgs":
-        return _lbfgs_minimize(
-            dual_and_gradient, z0, max_iterations, tolerance, precondition=precondition
-        )
+def _dual_minimize(dual_and_gradient, z0: np.ndarray, max_iterations: int, tolerance: float):
+    """The shared one-shot dual minimization (L-BFGS-B) over ``z >= 0``."""
     return optimize.minimize(
         dual_and_gradient,
         z0,
@@ -299,10 +270,10 @@ def _spg_minimize(
     The in-repo replacement for the per-call L-BFGS-B setup: a projected
     Barzilai-Borwein step with a nonmonotone Armijo line search, operating
     directly on the caller's arrays.  The dual is convex and (piecewise)
-    smooth, so the spectral step converges in a handful of iterations from
-    a warm start -- without scipy's per-call workspace allocation, bound
-    standardization and Fortran round trips, which dominate warm dynamic
-    solves.
+    smooth, so the spectral step converges from a warm start without
+    scipy's per-call workspace allocation, bound standardization and
+    Fortran round trips, which dominate warm dynamic solves (measured
+    iteration counts: ``docs/PERFORMANCE.md``).
 
     ``precondition`` is a positive diagonal ``D`` applied to the gradient
     step (``z - step * D * g``, equivalent to plain SPG in the variables
@@ -358,167 +329,6 @@ def _spg_minimize(
         sy = float(s @ y)
         if sy > 0.0:
             # BB step in the preconditioned variables z / sqrt(D).
-            step = float((s / diag) @ s) / sy if scaled else float(s @ s) / sy
-        else:
-            step = step * 2.0
-        step = min(max(step, _SPG_STEP_MIN), _SPG_STEP_MAX)
-        stalls = stalls + 1 if abs(f - f_new) <= tolerance * max(abs(f), abs(f_new), 1.0) else 0
-        z, f, g = z_new, f_new, g_new
-        recent.append(f)
-        step_direction = diag * g if scaled else g
-        projected_gradient = z - np.maximum(z - step_direction, 0.0)
-        pg_norm = float(np.max(np.abs(projected_gradient), initial=0.0))
-        if pg_norm <= _SPG_PGTOL or (
-            stalls >= _SPG_STALL_LIMIT and pg_norm <= _SPG_STALL_PGTOL
-        ):
-            success = True
-            break
-    return _SpgResult(x=z, nit=nit, success=success, step=step)
-
-
-#: Curvature-pair memory of the projected quasi-Newton inner solver.
-_LBFGS_MEMORY = 10
-#: Relative curvature threshold below which an ``(s, y)`` pair is discarded
-#: (numerical noise must not enter the inverse-Hessian model).
-_LBFGS_CURVATURE_MIN = 1e-10
-#: Trust cap on the quasi-Newton displacement, in multiples of the current
-#: spectral step length (same metric).  The dual is piecewise smooth -- rate
-#: clipping leaves flat directions -- so an almost-singular curvature model
-#: can propose arbitrarily long steps; projected onto the orthant those stop
-#: being descent directions and every one costs a full line-search backtrack.
-_LBFGS_TRUST = 4.0
-
-
-def _lbfgs_direction(
-    g: np.ndarray,
-    pairs,
-    fallback_step: float,
-    diag: Optional[np.ndarray],
-) -> np.ndarray:
-    """Two-loop recursion over the stored curvature pairs.
-
-    Returns the quasi-Newton *displacement* ``-H g``.  The implicit
-    inverse-Hessian model is seeded with ``gamma D`` -- the caller's
-    diagonal preconditioner under the standard per-iteration spectral
-    scaling -- i.e. the recursion runs in the preconditioned variables
-    ``z / sqrt(D)``.  Seeding with the usual ``gamma I`` instead is
-    hopeless here: the dual mixes per-link curvatures spanning orders of
-    magnitude (that is why SPG preconditions every step), and ``m``
-    curvature pairs can only correct ``m`` directions of that
-    ill-conditioning.  With an empty history the direction degrades to the
-    preconditioned spectral step, so iteration one is exactly SPG.
-    """
-    if not pairs:
-        return -(fallback_step * (diag * g if diag is not None else g))
-    q = g.copy()
-    alphas = [0.0] * len(pairs)
-    for i in range(len(pairs) - 1, -1, -1):
-        s, y, rho = pairs[i]
-        alpha = rho * float(s @ q)
-        alphas[i] = alpha
-        q -= alpha * y
-    s_last, y_last, _ = pairs[-1]
-    if diag is not None:
-        # gamma in the D-metric: (s' y') / (y' y') with s' = D^-1/2 s,
-        # y' = D^1/2 y, then H0 = gamma * D back in the original variables.
-        q *= (float(s_last @ y_last) / float(y_last @ (diag * y_last))) * diag
-    else:
-        q *= float(s_last @ y_last) / float(y_last @ y_last)
-    for i, (s, y, rho) in enumerate(pairs):
-        beta = rho * float(y @ q)
-        q += (alphas[i] - beta) * s
-    np.negative(q, out=q)
-    return q
-
-
-def _lbfgs_minimize(
-    dual_and_gradient,
-    z0: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
-    initial_step: Optional[float] = None,
-    precondition: Optional[np.ndarray] = None,
-    history: Optional[deque] = None,
-) -> _SpgResult:
-    """Limited-memory projected quasi-Newton descent over ``z >= 0``.
-
-    The ``inner="lbfgs"`` option of :class:`PersistentDualSolver` (and
-    ``solver="lbfgs"`` of :func:`solve_num`): a two-loop recursion over the
-    last :data:`_LBFGS_MEMORY` curvature pairs proposes ``z + d`` with
-    ``d = -H g``, the trial is projected onto the nonnegative orthant, and
-    the *same* GLL nonmonotone Armijo line search as :func:`_spg_minimize`
-    safeguards the (projected, hence merely heuristic) quasi-Newton step.
-    Whenever the projected direction fails the descent test -- the model
-    was built on a different active face, or curvature went stale after
-    churn -- the history is dropped and the iteration falls back to the
-    preconditioned projected spectral step, so the solver is never worse
-    than restarting SPG.  The spectral (Barzilai-Borwein) step length is
-    maintained alongside as the fallback scale and the cross-solve
-    curvature carrier, and the stopping rules (projected-gradient
-    optimality, guarded objective stall) are shared with SPG, so the two
-    inner solvers are interchangeable per solve.
-
-    ``history``, when given, is a deque of ``(s, y, 1/s@y)`` pairs reused
-    and refilled in place: :class:`PersistentDualSolver` carries it across
-    churned solves (the SNIPPETS persistent-state idiom), dropping it only
-    when the active link set or the conditioning changes.
-    """
-    z = np.maximum(np.asarray(z0, dtype=float), 0.0)
-    f, g = dual_and_gradient(z)
-    scaled = precondition is not None
-    diag = precondition if scaled else None
-    pairs = history if history is not None else deque(maxlen=_LBFGS_MEMORY)
-    step_direction = diag * g if scaled else g
-    if initial_step is not None and np.isfinite(initial_step) and initial_step > 0.0:
-        step = initial_step
-    else:
-        g_norm = float(np.max(np.abs(step_direction), initial=0.0))
-        step = 1.0 / g_norm if g_norm > 0.0 else 1.0
-    step = min(max(step, _SPG_STEP_MIN), _SPG_STEP_MAX)
-    recent = deque([f], maxlen=_SPG_MEMORY)
-    stalls = 0
-    nit = 0
-    success = not z.size
-    for nit in range(1, max_iterations + 1):
-        d = _lbfgs_direction(g, pairs, step, diag)
-        if pairs:
-            # Trust cap (see _LBFGS_TRUST): compare the proposed displacement
-            # against the spectral step in the D^-1 metric and shrink it if
-            # the curvature model is extrapolating into a flat region.
-            spectral_len = step * float(np.sqrt(g @ step_direction))
-            qn_sq = float(d @ (d / diag)) if scaled else float(d @ d)
-            limit = _LBFGS_TRUST * spectral_len
-            if qn_sq > limit * limit > 0.0:
-                d *= limit / math.sqrt(qn_sq)
-        trial = np.maximum(z + d, 0.0)
-        d = trial - z
-        dg = float(d @ g)
-        if dg >= 0.0 and pairs:
-            # The quasi-Newton direction is blocked by the bounds (or the
-            # curvature model went stale): restart from the spectral step.
-            pairs.clear()
-            trial = np.maximum(z - step * step_direction, 0.0)
-            d = trial - z
-            dg = float(d @ g)
-        if dg >= 0.0:
-            success = True  # no feasible descent direction: stationary point
-            nit -= 1
-            break
-        f_ref = max(recent)
-        lam = 1.0
-        z_new = trial
-        f_new, g_new = dual_and_gradient(z_new)
-        while f_new > f_ref + _SPG_ARMIJO * lam * dg and lam > 1e-8:
-            lam *= 0.5
-            z_new = z + lam * d
-            f_new, g_new = dual_and_gradient(z_new)
-        s = z_new - z
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > _LBFGS_CURVATURE_MIN * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            pairs.append((s, y, 1.0 / sy))
-        if sy > 0.0:
-            # Spectral step in the preconditioned variables (see SPG).
             step = float((s / diag) @ s) / sy if scaled else float(s @ s) / sy
         else:
             step = step * 2.0
@@ -602,7 +412,6 @@ def _solve_num_scalar(
     initial_prices: Optional[Mapping[LinkId, float]],
     price_scale: Optional[Mapping[LinkId, float]],
     safeguard: bool,
-    solver: str = "scipy",
 ) -> OracleResult:
     """The per-flow reference implementation of the dual solve."""
     used = set()
@@ -657,8 +466,7 @@ def _solve_num_scalar(
         return value / objective_scale, gradient / objective_scale
 
     z0 = _warm_start(initial_prices, active_links, scale_vec)
-    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance, solver,
-                            precondition=objective_scale / (scale_vec * capacities))
+    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance)
     prices = scale_vec * np.maximum(result.x, 0.0)
     rates = primal_rates(prices)
     rates = _rescale_to_feasible(network, rates)
@@ -678,55 +486,6 @@ def _solve_num_scalar(
                    maxmin_rates, maxmin_objective, max_iterations)
 
 
-def _kernel_dual_closure(
-    vec_utils,
-    incidence: np.ndarray,
-    scale_vec: np.ndarray,
-    capacities: np.ndarray,
-    path_caps: np.ndarray,
-    floors: np.ndarray,
-    objective_scale: float,
-):
-    """Fused compiled dual objective/gradient closure, or ``None``.
-
-    Builds the CSR index arrays for the (active-link) incidence and binds
-    them, the family-coded utility parameters and preallocated price/rate
-    buffers into a closure around
-    :func:`repro.fluid.kernels.fused_dual_csr_kernel`.  Returns ``None``
-    when numba is unavailable or the utility population is not fully
-    closed-form -- callers then keep their NumPy closures, which is also
-    why a fresh gradient array is returned per call (the minimizers hold
-    ``y = g_new - g`` across iterations).
-    """
-    if not _kernels.HAVE_NUMBA:
-        return None
-    family = vec_utils.kernel_family_arrays()
-    if family is None:
-        return None
-    link_ptr, link_cols, flow_ptr, flow_rows = _kernels.build_csr(incidence)
-    code = np.ascontiguousarray(family[0])
-    p0, p1, p2, p3 = (np.ascontiguousarray(row) for row in family[1:])
-    path_caps = np.ascontiguousarray(path_caps)
-    floors = np.ascontiguousarray(floors)
-    n_links, n_flows = incidence.shape
-    prices_buf = np.empty(n_links)
-    rates_buf = np.empty(n_flows)
-    inv_scale = 1.0 / objective_scale
-    body = _kernels.fused_dual_csr_kernel
-
-    def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-        gradient = np.empty(n_links)
-        value = body(
-            np.ascontiguousarray(z), scale_vec, capacities,
-            link_ptr, link_cols, flow_ptr, flow_rows,
-            code, p0, p1, p2, p3, path_caps, floors, inv_scale,
-            prices_buf, rates_buf, gradient,
-        )
-        return float(value), gradient
-
-    return dual_and_gradient
-
-
 def _solve_num_vectorized(
     network: FluidNetwork,
     flows,
@@ -736,8 +495,6 @@ def _solve_num_vectorized(
     initial_prices: Optional[Mapping[LinkId, float]],
     price_scale: Optional[Mapping[LinkId, float]],
     safeguard: bool,
-    solver: str = "scipy",
-    kernel: Optional[str] = None,
 ) -> OracleResult:
     """Batched dual solve over the compiled link x flow incidence."""
     compiled = compile_network(network)
@@ -778,24 +535,8 @@ def _solve_num_vectorized(
         gradient = scale_vec * (capacities - load)
         return value / objective_scale, gradient / objective_scale
 
-    if _kernels.resolve_kernel(kernel) == "numba":
-        fused = _kernel_dual_closure(
-            vec_utils, incidence, scale_vec, capacities, path_caps, floors,
-            objective_scale,
-        )
-        if fused is not None:
-            dual_and_gradient = fused
-
     z0 = _warm_start(initial_prices, active_links, scale_vec)
-    if solver == "spg" and initial_prices is None:
-        precondition = _cold_start_precondition(
-            z0, scale_vec, capacities, objective_scale, incidence_f,
-            vec_utils.curvature_alpha, primal_rates_vec, path_caps, floors,
-        )
-    else:
-        precondition = objective_scale / (scale_vec * capacities)
-    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance, solver,
-                            precondition=precondition)
+    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance)
     prices = scale_vec * np.maximum(result.x, 0.0)
     rate_vec, _ = primal_rates_vec(prices)
     rate_vec = _rescale_to_feasible_arrays(incidence, incidence_f, rate_vec, capacities)
@@ -869,7 +610,7 @@ class PersistentDualSolver:
     """A dual Oracle whose state survives flow-set changes.
 
     The dynamic experiments (Fig. 5/7) re-solve the NUM problem on *every*
-    arrival/departure batch; with ``solver="scipy"`` each of those solves
+    arrival/departure batch; with :func:`solve_num` each of those solves
     pays L-BFGS-B's per-call setup (workspace allocation, bound
     standardization, ``ScalarFunction`` wrappers) even when the warm start
     lands one step from the optimum.  This solver keeps everything that is
@@ -884,15 +625,13 @@ class PersistentDualSolver:
       warm start (links temporarily without flows keep their last price as
       the guess for when they refill).
     * **Curvature** -- the spectral (Barzilai-Borwein) step carried between
-      solves, and, under ``inner="lbfgs"``, the limited-memory curvature
-      pairs of :func:`_lbfgs_minimize` (dropped whenever the active link
-      set or the conditioning changes).
+      solves.
     * **Conditioning** -- the per-link price scale of
       :func:`estimate_price_scale`, refreshed only every
       ``scale_refresh_interval`` churned solves (it conditions the solver
       but never changes the optimum).
 
-    Parity: warm persistent solves match a cold ``solver="scipy"`` solve of
+    Parity: warm persistent solves match a cold :func:`solve_num` solve of
     the same instance to well within 1e-6 relative on rates (pinned by the
     churn-trace test in ``tests/fluid/test_oracle.py`` and gated by the
     perf harness); the allocation it converges to is the same unique NUM
@@ -906,28 +645,11 @@ class PersistentDualSolver:
         max_iterations: int = 2000,
         scale_refresh_interval: int = 32,
         safeguard: bool = False,
-        inner: str = "spg",
-        kernel: Optional[str] = None,
     ):
-        if inner not in ("spg", "lbfgs"):
-            raise ValueError(f"unknown inner solver {inner!r} (expected 'spg' or 'lbfgs')")
         self.tolerance = tolerance
         self.max_iterations = max_iterations
         self.scale_refresh_interval = scale_refresh_interval
         self.safeguard = safeguard
-        #: Inner minimizer: ``"spg"`` (default, the preconditioned spectral
-        #: projected-gradient loop) or ``"lbfgs"`` (the projected
-        #: quasi-Newton of :func:`_lbfgs_minimize` with curvature pairs
-        #: carried across churned solves).  SPG stays the default because
-        #: the dual is piecewise smooth: rate clipping changes the active
-        #: curvature per face, so the quasi-Newton model is frequently
-        #: invalidated and warm churned solves take ~5x more gradient
-        #: evaluations than SPG's ~4-iteration resolves (see
-        #: ``benchmarks/perf``); ``lbfgs`` is kept as a parity-tested
-        #: alternative for stiffer utility mixes.
-        self.inner = inner
-        #: Dual-evaluation kernel, resolved once (honors ``REPRO_KERNEL``).
-        self.kernel = _kernels.resolve_kernel(kernel)
         self._network = network
         self._compiled: Optional[CompiledFluidNetwork] = None
         self._prices_full: Optional[np.ndarray] = None
@@ -939,8 +661,6 @@ class PersistentDualSolver:
         self._last_capacity_version: Optional[int] = None
         self._step: Optional[float] = None
         self._warm = False
-        self._lbfgs_pairs: deque = deque(maxlen=_LBFGS_MEMORY)
-        self._lbfgs_key: Optional[tuple] = None
 
     def reset(self) -> None:
         """Drop all persistent state (next solve starts cold)."""
@@ -953,8 +673,6 @@ class PersistentDualSolver:
         self._last_capacity_version = None
         self._step = None
         self._warm = False
-        self._lbfgs_pairs.clear()
-        self._lbfgs_key = None
 
     def _refresh_compiled(self, network: FluidNetwork) -> CompiledFluidNetwork:
         if network is not self._network:
@@ -1065,14 +783,6 @@ class PersistentDualSolver:
             gradient = scale_vec * (capacities - load)
             return value / objective_scale, gradient / objective_scale
 
-        if self.kernel == "numba":
-            fused = _kernel_dual_closure(
-                vec_utils, incidence, scale_vec, capacities, path_caps, floors,
-                objective_scale,
-            )
-            if fused is not None:
-                dual_and_gradient = fused
-
         if self._warm:
             z0 = np.maximum(self._prices_full[active_idx], 0.0) / scale_vec
             precondition = objective_scale / (scale_vec * capacities)
@@ -1082,27 +792,14 @@ class PersistentDualSolver:
                 z0, scale_vec, capacities, objective_scale, incidence_f,
                 vec_utils.curvature_alpha, primal_rates_vec, path_caps, floors,
             )
-        if self.inner == "lbfgs":
-            # The curvature pairs stay valid only while the dual keeps its
-            # geometry: same active links, same conditioning, same scaling.
-            # Flow churn alone perturbs the Hessian smoothly enough that the
-            # descent check + line search in _lbfgs_minimize absorb it.
-            key = (active_idx.tobytes(), scale_vec.tobytes(), objective_scale)
-            if key != self._lbfgs_key:
-                self._lbfgs_pairs.clear()
-                self._lbfgs_key = key
-            result = _lbfgs_minimize(
-                dual_and_gradient, z0, self.max_iterations, self.tolerance,
-                initial_step=self._step,
-                precondition=precondition,
-                history=self._lbfgs_pairs,
-            )
-        else:
-            result = _spg_minimize(
-                dual_and_gradient, z0, self.max_iterations, self.tolerance,
-                initial_step=self._step,
-                precondition=precondition,
-            )
+        result = _spg_minimize(
+            dual_and_gradient,
+            z0,
+            self.max_iterations,
+            self.tolerance,
+            initial_step=self._step,
+            precondition=precondition,
+        )
         self._step = result.step
         self._warm = True
         prices = scale_vec * np.maximum(result.x, 0.0)

@@ -60,22 +60,11 @@ from repro.core.utility import (
     Utility,
     WeightedAlphaFairUtility,
 )
-from repro.fluid import kernels as _kernels
-
-# Utility family codes live in repro.fluid.kernels (the import leaf) so the
-# compiled kernels and the NumPy evaluators share one source of truth.
-from repro.fluid.kernels import (  # noqa: F401  (re-exported for the tests)
-    _EXCLUDED,
-    _FAM_ALPHA,
-    _FAM_FALLBACK,
-    _FAM_FCT,
-    _FAM_LOG,
-    _FAM_POWER,
-    _FAM_WALPHA,
-    build_csr,
-    resolve_kernel,
-)
 from repro.fluid.network import FluidFlow, FluidNetwork, FlowId, LinkId
+
+#: Utility family codes stored per slot by :class:`VectorizedUtilities`
+#: (code 0 marks excluded slots, e.g. multipath group members).
+_EXCLUDED, _FAM_LOG, _FAM_ALPHA, _FAM_WALPHA, _FAM_FCT, _FAM_POWER, _FAM_FALLBACK = range(7)
 
 
 class VectorizedUtilities:
@@ -265,24 +254,6 @@ class VectorizedUtilities:
             return weights
         return None
 
-    def kernel_family_arrays(
-        self,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Slot-order ``(code, p0, p1, p2, p3)`` arrays for the fused kernel.
-
-        Returns ``None`` unless *every* slot belongs to a closed-form family
-        (log / alpha-fair / weighted-alpha-fair / FCT) -- generic power-law
-        and fallback utilities evaluate their value through per-flow scalar
-        calls, which the nopython kernel cannot reach, and excluded
-        (multipath) slots carry no utility of their own.  The returned
-        arrays are contiguous views of the slot store: treat as read-only.
-        """
-        code = self._code[: self.n]
-        if code.size and not np.all((code >= _FAM_LOG) & (code <= _FAM_FCT)):
-            return None
-        params = self._params
-        return (code,) + tuple(params[row, : self.n] for row in range(4))
-
     def marginal(self, rates: np.ndarray) -> np.ndarray:
         """Elementwise ``U_i'(rates[..., i])``; excluded indices are left at 0.
 
@@ -426,8 +397,6 @@ class CompiledFluidNetwork:
         "_path_caps",
         "_path_caps_capacities",
         "_link_flow_buffer",
-        "_csr",
-        "_csr_version",
     )
 
     def __init__(self, network: FluidNetwork):
@@ -462,8 +431,6 @@ class CompiledFluidNetwork:
         self._path_caps = np.zeros(columns)
         self._path_caps_capacities: Optional[np.ndarray] = None
         self._link_flow_buffer = np.empty((n_links, columns))
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-        self._csr_version: int = -1
 
     @property
     def incidence(self) -> np.ndarray:
@@ -660,18 +627,6 @@ class CompiledFluidNetwork:
         """Per-link aggregate traffic for a per-flow rate vector."""
         return self.incidence_f @ rates
 
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR index arrays of :attr:`incidence` for the compiled kernels.
-
-        Memoized on the topology version (column edits always bump it), so
-        per-iteration kernel callers pay the ``nonzero`` scan once per churn
-        batch, not once per solve.  Treat the arrays as read-only.
-        """
-        if self._csr is None or self._csr_version != self.version:
-            self._csr = build_csr(self.incidence)
-            self._csr_version = self.version
-        return self._csr
-
 
 def compile_network(network: FluidNetwork) -> CompiledFluidNetwork:
     """Compile the network's current flow set into array form."""
@@ -752,7 +707,7 @@ class CompiledMaxMin:
     """
 
     __slots__ = ("flow_ids", "link_ids", "incidence", "incidence_f", "_flow_index",
-                 "_capacities", "_link_index", "_csr")
+                 "_capacities", "_link_index")
 
     def __init__(
         self,
@@ -780,7 +735,6 @@ class CompiledMaxMin:
             dtype=float,
             count=len(self.link_ids),
         )
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_network(cls, network: FluidNetwork) -> "CompiledMaxMin":
@@ -819,34 +773,23 @@ class CompiledMaxMin:
         rates = self.solve_array(weight_vec, self._capacity_vector(capacities))
         return dict(zip(self.flow_ids, rates.tolist()))
 
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR index arrays of the compiled incidence (built once, cached)."""
-        if self._csr is None:
-            self._csr = build_csr(self.incidence)
-        return self._csr
-
     def solve_array(
         self,
         weight_vec: np.ndarray,
         capacity_vec: Optional[np.ndarray] = None,
         stats: Optional[Dict[str, int]] = None,
-        kernel: Optional[str] = None,
     ) -> np.ndarray:
         """Zero-overhead solve: weights in, rates out, both in compiled order.
 
         ``stats`` is forwarded to :func:`waterfill_arrays` (freezing-round /
-        distinct-level counters); ``kernel`` selects the compiled waterfill
-        (the CSR index arrays are cached across solves).
+        distinct-level counters).
         """
-        kernel = resolve_kernel(kernel)
         return waterfill_arrays(
             self.incidence,
             self.incidence_f,
             weight_vec,
             self._capacities if capacity_vec is None else capacity_vec,
             stats=stats,
-            kernel=kernel,
-            csr=self.csr_arrays() if kernel == "numba" else None,
         )
 
     def _capacity_vector(
@@ -883,8 +826,6 @@ def waterfill_arrays(
     batch_ties: bool = True,
     stats: Optional[Dict[str, int]] = None,
     scratch: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
-    csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Weighted max-min water-filling on the compiled incidence structure.
 
@@ -920,28 +861,7 @@ def waterfill_arrays(
     persistent buffer so the wave detector's masked-min workspace is not
     reallocated -- and its pages not re-faulted -- on every control-loop
     iteration.
-
-    ``kernel="numba"`` runs the compiled CSR freeze-round loop of
-    :func:`repro.fluid.kernels.waterfill_csr` instead (same fixed point,
-    1e-9 parity gates; under ``batch_ties`` the kernel uses the wave
-    schedule at every fabric size, so round counts can differ from the
-    small-fabric tie-group schedule here).  It resolves through
-    :func:`repro.fluid.kernels.resolve_kernel`, so without numba installed
-    this NumPy path runs unchanged.  ``csr``, when given, must be
-    :func:`~repro.fluid.kernels.build_csr` of ``incidence`` (repeat callers
-    cache it); it is ignored on the NumPy path.
     """
-    if resolve_kernel(kernel) == "numba":
-        if csr is None:
-            csr = build_csr(incidence)
-        rates, rounds, link_level = _kernels.waterfill_csr(
-            *csr, weights, capacities, batch_ties=batch_ties
-        )
-        if stats is not None:
-            frozen_levels = link_level[np.isfinite(link_level)]
-            stats["rounds"] = rounds
-            stats["levels"] = int(np.unique(frozen_levels).size)
-        return rates
     n_links, n_flows = incidence.shape
     rates = np.zeros(n_flows)
     rounds = 0

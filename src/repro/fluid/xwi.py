@@ -38,7 +38,6 @@ from repro.fluid.vectorized import (
     CompiledFluidNetwork,
     VectorizedBackendMixin,
     price_update_arrays,
-    resolve_kernel,
     waterfill_arrays,
 )
 
@@ -78,16 +77,10 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         initial_price: float = 0.0,
         backend: str = "scalar",
         record_detail: bool = True,
-        kernel: Optional[str] = None,
     ):
         self.network = network
         self.params = params or NumFabricParameters()
         self.backend = self._check_backend(backend, "xWI")
-        #: Waterfill kernel for the vectorized backend ("numpy"/"numba");
-        #: resolved once at construction (honoring ``REPRO_KERNEL``), so the
-        #: per-step dispatch is a string compare and the fallback warning
-        #: fires at most once per simulator.
-        self.kernel = resolve_kernel(kernel)
         #: When false, per-step records carry only the rates (prices and
         #: weights are left empty) -- the policy-driven dynamic experiments
         #: read nothing else, and skipping the two dict builds per step is
@@ -175,8 +168,6 @@ class XwiFluidSimulator(VectorizedBackendMixin):
             weight_vec,
             capacities,
             scratch=compiled.link_flow_scratch,
-            kernel=self.kernel,
-            csr=compiled.csr_arrays() if self.kernel == "numba" else None,
         )
         rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
         self.last_rates = rates

@@ -353,8 +353,8 @@ def _flow_policy_factory(spec: ScenarioSpec) -> Callable[[], object]:
     if spec.scheme.name == "Oracle":
         options = dict(spec.scheme.options)
         return lambda: OracleRatePolicy(**options)
-    # Scheme options (e.g. kernel="numba") flow through to the simulator
-    # factory, so spec-level backend selection covers the compiled kernels.
+    # Scheme options flow through to the policy factory, so an option it
+    # does not take fails loudly instead of being ignored.
     scheme_options = dict(spec.scheme.options)
     return lambda: scheme_rate_policy(
         spec.scheme.name, backend=spec.scheme.backend, params=spec.scheme.params,

@@ -822,6 +822,17 @@ class RemoteExecutor:
                 return
             failed_on = self._failed_hosts.get(index, set())
             fresh = [host for host in candidates if host.name not in failed_on]
+            if not fresh and any(
+                host.name not in failed_on
+                and host.transport is not None
+                and host.hello is not None
+                for host in self.hosts
+            ):
+                # A live host this cell has not failed on is merely full:
+                # wait for its slot rather than repeat the failure on a host
+                # that already saw it (which would also defeat distinct-host
+                # quarantine).
+                continue
             pool = fresh or candidates
             host = min(pool, key=lambda h: len(h.leases))
             sent = self._send(

@@ -4,18 +4,23 @@ The array backend must reproduce the dict reference exactly -- same
 completion order, same quantized finish times, same average rates -- across
 the edge cases the batched update has to preserve: zero-byte flows,
 simultaneous arrivals and completions inside one step, and ``max_time``
-truncation mid-flow.
+truncation mid-flow.  The array backend's :meth:`run` is its streaming
+loop over the sorted list; one test pins that equivalence across pauses.
 """
+
+import random
 
 import pytest
 
 from repro.experiments.dynamic_fluid import (
+    ArrivalStream,
     EqualSharePolicy,
     FlowLevelSimulation,
     OracleRatePolicy,
     scheme_rate_policy,
 )
 from repro.fluid.network import FluidNetwork
+from repro.scenarios.faults import CapacityChange, CapacityInjector
 from repro.workloads.distributions import UniformFlowSizeDistribution
 from repro.workloads.poisson import FlowArrival, PoissonTrafficGenerator
 
@@ -246,3 +251,50 @@ class TestArrayInternals:
         _, by_dict = run_single_link(arrivals, "dict")
         _, by_array = run_single_link(arrivals, "array")
         assert_identical(by_dict, by_array)
+
+
+class TestLoopEquivalence:
+    def test_run_matches_paused_run_stream(self):
+        # A parking-lot fabric (three bottlenecks, paths of one to three
+        # hops) with a fault timeline that degrades, kills and restores
+        # links, truncated while flows are still in flight.  ``run`` on
+        # shuffled arrivals must equal ``run_stream`` over the sorted list
+        # resumed across several pauses, bit for bit.
+        capacities = {"l0": 1e9, "l1": 2e9, "l2": 1e9}
+        paths = [("l0",), ("l1",), ("l2",), ("l0", "l1"), ("l1", "l2"), ("l0", "l1", "l2")]
+        timeline = [
+            CapacityChange(60 * STEP, "l1", 0.5e9),
+            CapacityChange(90 * STEP, "l0", 0.0),
+            CapacityChange(130 * STEP, "l0", 1e9),
+        ]
+        rng = random.Random(5)
+        arrivals = [
+            arrival(i, rng.uniform(0.0, 200 * STEP), rng.randrange(1_000, 400_000))
+            for i in range(40)
+        ]
+        arrivals.append(arrival(40, 10 * STEP, 50_000_000))
+        horizon = 300 * STEP
+
+        def build():
+            return FlowLevelSimulation(
+                FluidNetwork(dict(capacities)),
+                lambda a: paths[a.flow_id % len(paths)],
+                scheme_rate_policy("NUMFabric"),
+                step_interval=STEP,
+                fault_injector=CapacityInjector(timeline),
+            )
+
+        shuffled = list(arrivals)
+        random.Random(7).shuffle(shuffled)
+        whole = build()
+        completed = whole.run(shuffled, max_time=horizon)
+
+        paused = build()
+        stream = ArrivalStream(sorted(arrivals, key=lambda a: a.time))
+        for stop in (37 * STEP, 95.5 * STEP, 96 * STEP, 250 * STEP):
+            assert paused.run_stream(stream, max_time=horizon, stop_at=stop) is False
+        assert paused.run_stream(stream, max_time=horizon) is True
+
+        assert completed == paused.completed
+        assert 0 < len(completed) < len(arrivals)
+        assert whole.active_flow_count == paused.active_flow_count > 0

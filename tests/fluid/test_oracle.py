@@ -307,7 +307,7 @@ def _cold_scipy(network, **kwargs):
     against a loosely converged reference would measure scipy's stopping
     slack, not the persistent solver's accuracy.)"""
     return solve_num(
-        network, solver="scipy", tolerance=1e-14, max_iterations=20000,
+        network, tolerance=1e-14, max_iterations=20000,
         safeguard=False, **kwargs,
     )
 
@@ -382,20 +382,6 @@ class TestPersistentDualSolver:
             cold = _cold_scipy(network)
             assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-6
             assert warm.converged
-
-    def test_one_shot_spg_solver_matches_scipy(self):
-        for name, network in _parity_grid().items():
-            spg = solve_num(network, solver="spg", safeguard=False)
-            cold = _cold_scipy(network)
-            assert abs(spg.objective - cold.objective) <= 1e-8 * max(
-                abs(cold.objective), 1.0
-            ), name
-            if name not in _FLAT_DUAL_CASES:
-                assert _max_rel_rate_diff(cold.rates, spg.rates) <= 1e-6, name
-
-    def test_rejects_unknown_solver(self):
-        with pytest.raises(ValueError):
-            solve_num(FluidNetwork.single_link(1e9, 1), solver="quantum")
 
     def test_empty_network(self):
         network = FluidNetwork({"l": 1e9})

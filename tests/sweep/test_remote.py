@@ -210,6 +210,29 @@ class TestFaultHooks:
         assert "distinct host" in failure.message
         assert report.stats["computed"] == len(tasks) - 1
 
+    def test_retry_waits_for_a_busy_fresh_host(self, agents):
+        # The other host is still busy with slow cells when the retry comes
+        # due; the retry must wait for it rather than fail again where it
+        # already failed, so distinct-host quarantine still fires at attempt 2.
+        (a, b) = agents(2)
+        tasks = make_tasks()
+        tasks[1] = with_inject(tasks[1], raise_on="all", message="injected-boom")
+        for index in (0, 2, 3):
+            tasks[index] = with_inject(tasks[index], hang_on="all", hang_seconds=1.5)
+        report = run_sweep(
+            tasks,
+            mode="remote",
+            hosts=[a.host, b.host],
+            cache=None,
+            retry=RetryPolicy(max_attempts=5, base_delay=0.05, max_delay=0.2),
+            quarantine_hosts=2,
+        )
+        (failure,) = report.failures
+        assert failure.index == 1
+        assert failure.attempts == 2
+        assert "distinct host" in failure.message
+        assert report.stats["computed"] == len(tasks) - 1
+
 
 class TestVerification:
     def test_code_mismatch_hosts_are_rejected(self, agents):
