@@ -7,15 +7,17 @@ makes such sweeps a first-class, crash-only primitive:
   scheme=numfabric,dctcp seed=0..9'`` into ``(spec, engine, seed)`` tasks;
 * :mod:`repro.sweep.cache` memoizes each cell under a content address
   (spec + engine + seed + code fingerprint) so reruns compute only deltas;
-* :mod:`repro.sweep.executor` fans cells out over worker processes with
-  timeouts, retry/backoff, quarantine and heartbeat-based dead-worker
-  detection;
+* :mod:`repro.sweep.executor` is the one scheduler: a cell ledger
+  (timeouts, retry/backoff, quarantine), a worker pool with heartbeat-based
+  dead-worker detection, and one dispatch loop over slots -- local worker
+  processes (``mode="sharded"``) or leases on agents (``mode="remote"``);
 * :mod:`repro.sweep.transport` abstracts the wire (worker pipes and
   line-delimited JSON over TCP) behind one send/recv_all interface;
-* :mod:`repro.sweep.remote` leases cells to agent processes on other
-  machines (``python -m repro agent``) with wall-clock leases, dead-host
-  detection, reconnect backoff and distinct-host quarantine -- crash-only
-  across machines, with each agent's local cache as the source of truth;
+* :mod:`repro.sweep.remote` adds the agent side (``python -m repro agent``,
+  a socket relay in front of the same worker pool) and the host logic of
+  remote slots: wall-clock leases, dead-host detection and reconnect
+  backoff -- crash-only across machines, with each agent's local cache as
+  the source of truth;
 * :mod:`repro.sweep.driver` aggregates everything back into one
   :class:`~repro.results.ExperimentResult`, with a serial mode kept as the
   bit-identical parity reference.

@@ -204,6 +204,23 @@ def decode_result(payload: Dict[str, Any]) -> ExperimentResult:
     return result
 
 
+def load_entry(blob: bytes, key: Optional[str]) -> Optional[Dict[str, Any]]:
+    """Unpickle a cache entry; None unless it is a current-version entry for ``key``.
+
+    The one validity rule for a cached payload, whether it was read from
+    disk or shipped over the wire by an agent.
+    """
+    try:
+        payload = pickle.loads(blob)
+    except Exception:
+        return None
+    if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
+        return None
+    if key is not None and payload.get("cache_key") not in (None, key):
+        return None
+    return payload
+
+
 class ResultCache:
     """Content-addressed on-disk store of sweep-cell payloads.
 
@@ -221,20 +238,11 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self.path_for(key)
         try:
-            blob = path.read_bytes()
+            blob = self.path_for(key).read_bytes()
         except OSError:
             return None
-        try:
-            payload = pickle.loads(blob)
-        except Exception:
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-            return None
-        if payload.get("cache_key") not in (None, key):
-            return None
-        return payload
+        return load_entry(blob, key)
 
     def put(self, key: str, payload: Dict[str, Any]) -> Path:
         payload = dict(payload)

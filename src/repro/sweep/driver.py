@@ -5,11 +5,12 @@ Three modes share one aggregation path:
 * ``"serial"``  -- run every cell in-process, in task order.  This is the
   parity reference: for deterministic scenarios the sharded and remote
   aggregates must be bit-identical to the serial one.
-* ``"sharded"`` -- fan cells out over worker processes through the
-  fault-tolerant :class:`~repro.sweep.executor.ShardedExecutor`.
-* ``"remote"``  -- lease cells to agent processes over TCP through
-  :class:`~repro.sweep.remote.RemoteExecutor` (``hosts=["host:port", ...]``
-  naming running ``python -m repro agent`` listeners).
+* ``"sharded"`` and ``"remote"`` -- the one fault-tolerant scheduler
+  (:mod:`repro.sweep.executor`), over local worker processes
+  (:class:`~repro.sweep.executor.ShardedExecutor`) or over agent processes
+  reached by TCP (:class:`~repro.sweep.remote.RemoteExecutor`;
+  ``hosts=["host:port", ...]`` naming running ``python -m repro agent``
+  listeners, required in this mode and rejected in the others).
 
 All modes consult the content-addressed cache first (when one is given)
 and only compute the delta; all degrade gracefully -- a failed cell
@@ -32,7 +33,7 @@ from repro.sweep.cache import (
     encode_result,
     task_key,
 )
-from repro.sweep.executor import RetryPolicy, ShardedExecutor, SweepFailure
+from repro.sweep.executor import CellLedger, RetryPolicy, ShardedExecutor, SweepFailure
 from repro.sweep.grid import SweepTask
 
 MODES = ("serial", "sharded", "remote")
@@ -167,52 +168,30 @@ def _as_cache(cache: Union[None, str, Path, ResultCache]) -> Optional[ResultCach
 
 def _run_serial(
     tasks: Sequence[SweepTask],
-    results: Dict[int, ExperimentResult],
     keys: Dict[int, str],
     cache: Optional[ResultCache],
     interrupt: Optional[Any],
     progress: Callable[[str], None],
-    stats: Dict[str, int],
-    attempts: Dict[int, int],
-) -> Dict[int, SweepFailure]:
+):
+    """Run cells in-process, in task order, once each (a raising cell is quarantined)."""
     from repro.scenarios.runner import run_scenario
 
-    failures: Dict[int, SweepFailure] = {}
-    total = len(tasks)
-    for task in tasks:
-        if task.index in results:
-            continue
+    ledger = CellLedger(tasks, RetryPolicy(), progress)
+    for cell in list(ledger.pending):
         if interrupt is not None and getattr(interrupt, "requested", False):
-            failures[task.index] = SweepFailure(
-                index=task.index,
-                label=task.label,
-                kind="cancelled",
-                message="sweep interrupted before this cell ran",
-            )
-            stats["cancelled"] = stats.get("cancelled", 0) + 1
-            continue
-        attempts[task.index] = attempts.get(task.index, 0) + 1
+            ledger.close_out("cancelled", "sweep interrupted before this cell ran", False)
+            break
+        ledger.take(cell)
         try:
-            result = run_scenario(task.spec)
+            result = run_scenario(cell.task.spec)
         except Exception as exc:
-            failures[task.index] = SweepFailure(
-                index=task.index,
-                label=task.label,
-                kind="error",
-                message=f"{type(exc).__name__}: {exc}",
-                traceback=traceback.format_exc(),
-                attempts=1,
-                quarantined=True,
-            )
-            stats["quarantined"] = stats.get("quarantined", 0) + 1
-            progress(f"{task.label or task.index}: failed ({type(exc).__name__}: {exc})")
+            message = f"{type(exc).__name__}: {exc}"
+            ledger.quarantine(cell, "error", message, traceback.format_exc())
             continue
         if cache is not None:
-            cache.put(keys[task.index], encode_result(result))
-        results[task.index] = result
-        stats["computed"] += 1
-        progress(f"[{len(results) + len(failures)}/{total}] {task.label or task.index}: ok")
-    return failures
+            cache.put(keys[cell.task.index], encode_result(result))
+        ledger.succeed(cell.task.index, result, "ok")
+    return ledger.payloads, ledger.failures, ledger.stats, ledger.attempts
 
 
 def run_sweep(
@@ -246,6 +225,10 @@ def run_sweep(
     """
     if mode not in MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected one of {MODES}")
+    if mode == "remote" and not hosts:
+        raise ValueError("remote mode needs at least one agent host ('host:port')")
+    if mode != "remote" and hosts:
+        raise ValueError(f"hosts= is for mode='remote'; mode={mode!r} runs locally")
     tasks = list(tasks)
     for position, task in enumerate(tasks):
         if task.index != position:
@@ -274,57 +257,40 @@ def run_sweep(
         if stats["cached"]:
             progress(f"cache: {stats['cached']}/{len(tasks)} cells already present")
 
-    if mode == "serial":
-        failure_map = _run_serial(
-            tasks, results, keys, store, interrupt, progress, stats, attempts
-        )
-    elif mode == "remote":
-        from repro.sweep.remote import RemoteExecutor
+    remaining = [task for task in tasks if task.index not in results]
+    failure_map: Dict[int, SweepFailure] = {}
+    common = dict(
+        keys=keys,
+        cache=store,
+        timeout=timeout,
+        retry=retry,
+        heartbeat_interval=heartbeat_interval,
+        stall_timeout=stall_timeout,
+        interrupt=interrupt,
+        progress=progress,
+    )
+    if remaining:
+        if mode == "serial":
+            run = _run_serial(remaining, keys, store, interrupt, progress)
+        elif mode == "remote":
+            from repro.sweep.remote import RemoteExecutor
 
-        remaining = [task for task in tasks if task.index not in results]
-        failure_map = {}
-        if remaining:
-            executor = RemoteExecutor(
+            *run, hosts_report = RemoteExecutor(
                 remaining,
-                hosts=list(hosts or ()),
-                keys=keys,
-                cache=store,
-                timeout=timeout,
-                retry=retry,
+                hosts=hosts,
                 lease_timeout=lease_timeout,
-                heartbeat_interval=heartbeat_interval,
-                stall_timeout=stall_timeout,
                 connect_retry=connect_retry,
                 quarantine_hosts=quarantine_hosts,
-                interrupt=interrupt,
-                progress=progress,
-            )
-            payloads, failure_map, remote_stats, attempts, hosts_report = executor.run()
-            for index, payload in payloads.items():
-                results[index] = decode_result(payload)
-            for key, value in remote_stats.items():
-                stats[key] = stats.get(key, 0) + value
-    else:
-        remaining = [task for task in tasks if task.index not in results]
-        failure_map = {}
-        if remaining:
-            executor = ShardedExecutor(
-                remaining,
-                keys=keys,
-                cache=store,
-                workers=workers,
-                timeout=timeout,
-                retry=retry,
-                heartbeat_interval=heartbeat_interval,
-                stall_timeout=stall_timeout,
-                interrupt=interrupt,
-                progress=progress,
-            )
-            payloads, failure_map, shard_stats, attempts = executor.run()
-            for index, payload in payloads.items():
-                results[index] = decode_result(payload)
-            for key, value in shard_stats.items():
-                stats[key] = stats.get(key, 0) + value
+                **common,
+            ).run()
+        else:
+            run = ShardedExecutor(remaining, workers=workers, **common).run()
+        payloads, failure_map, run_stats, attempts = run
+        for index, payload in payloads.items():
+            # Serial cells hold the live result; workers and agents ship payloads.
+            results[index] = payload if mode == "serial" else decode_result(payload)
+        for key, value in run_stats.items():
+            stats[key] = stats.get(key, 0) + value
 
     stats["failed"] = len(failure_map)
     ordered_results: List[Optional[ExperimentResult]] = [

@@ -36,17 +36,24 @@ paths without a real network, mirroring the executor's ``inject`` hooks.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import random
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.sweep.cache import CACHE_VERSION, ResultCache, code_fingerprint
-from repro.sweep.executor import RetryPolicy, SweepFailure, spawn_worker
+from repro.sweep.cache import ResultCache, code_fingerprint, load_entry
+from repro.sweep.executor import (
+    TICK,
+    RetryPolicy,
+    Scheduler,
+    WorkerPool,
+    _Cell,
+    _Host,
+    fault_hits,
+)
 from repro.sweep.grid import SweepTask
 from repro.sweep.transport import (
     PROTOCOL_VERSION,
@@ -60,15 +67,6 @@ from repro.sweep.transport import (
     unpack_pickle,
     wait_readable,
 )
-
-
-def _matches(values: Any, index: int) -> bool:
-    """Does a fault-hook value ("all", or an index list) cover this cell?"""
-    if values is None:
-        return False
-    if values == "all":
-        return True
-    return index in tuple(values)
 
 
 @dataclass(frozen=True)
@@ -118,26 +116,19 @@ class AgentFaults:
 
 # -- agent side --------------------------------------------------------------
 
-
-@dataclass
-class _AgentJob:
-    index: int
-    attempt: int
-    key: Optional[str]
-    spec: Any
-    inject: Dict[str, Any]
-
-
-@dataclass
-class _AgentWorker:
-    worker_id: int
-    process: Any
-    transport: Any
-    busy: Optional[_AgentJob] = None
+#: An agent drops a driver connection that sent nothing for this long
+#: (the half-open guard; drivers ping every heartbeat interval).
+DRIVER_STALL = 30.0
 
 
 class SweepAgent:
-    """One remote execution agent: listen, lease cells, compute, cache, ack.
+    """One remote execution agent: a socket relay in front of a :class:`WorkerPool`.
+
+    Listen, take cells from the driver, answer from the local cache or run
+    them on the pool, and relay every worker message.  The pool's liveness
+    checks apply here as in local mode: a worker that dies or wedges is
+    killed and relayed as an ``error`` for its cell (``WorkerCrash`` for a
+    process death).
 
     Crash-only: every result is written to the agent's local cache *before*
     the ack, a dead driver just means the next driver (or the same one,
@@ -153,20 +144,14 @@ class SweepAgent:
         workers: int = 1,
         cache: Any = None,
         heartbeat_interval: float = 0.5,
-        driver_stall: float = 30.0,
         faults: Optional[AgentFaults] = None,
         name: Optional[str] = None,
-        tick: float = 0.05,
         progress: Optional[Callable[[str], None]] = None,
     ):
         self.cache = (
             cache if isinstance(cache, ResultCache) else ResultCache(cache or ".sweep-cache")
         )
-        self.workers = max(1, workers)
-        self.heartbeat_interval = heartbeat_interval
-        self.driver_stall = driver_stall
         self.faults = faults or AgentFaults()
-        self.tick = tick
         self.progress = progress or (lambda message: None)
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -175,30 +160,27 @@ class SweepAgent:
         self._listen.setblocking(False)
         self.address: Tuple[str, int] = self._listen.getsockname()[:2]
         self.name = name or f"{self.address[0]}:{self.address[1]}"
+        self.pool = WorkerPool(
+            workers, cache_root=str(self.cache.root), heartbeat_interval=heartbeat_interval
+        )
         self._driver: Optional[SocketTransport] = None
         self._driver_seen = 0.0
-        self._pool: List[_AgentWorker] = []
-        self._queue: List[_AgentJob] = []
+        #: Cells waiting for a free worker: ``WorkerPool.submit`` arguments.
+        self._queue: List[Tuple[int, int, Any, Optional[str], Dict[str, Any]]] = []
         self._mute_until = 0.0
         self._fired: Set[Tuple[str, int]] = set()
         self._last_heartbeat = 0.0
-        self._next_worker_id = 0
-        self._ctx = multiprocessing.get_context("spawn")
 
     # -- plumbing --
 
-    def _send(self, message: Dict[str, Any]) -> bool:
+    def _send(self, message: Dict[str, Any]) -> None:
         """Send to the driver unless muted (partition fault) or detached."""
-        if self._driver is None:
-            return False
-        if time.monotonic() < self._mute_until:
-            return False  # partitioned: silently drop (half-open simulation)
+        if self._driver is None or time.monotonic() < self._mute_until:
+            return  # detached, or partitioned: silently drop (half-open simulation)
         try:
             self._driver.send(message)
-            return True
         except TransportClosed:
             self._drop_driver("send failed")
-            return False
 
     def _drop_driver(self, reason: str) -> None:
         if self._driver is not None:
@@ -225,7 +207,7 @@ class SweepAgent:
                 "proto": PROTOCOL_VERSION,
                 "agent": self.name,
                 "pid": os.getpid(),
-                "slots": self.workers,
+                "slots": self.pool.size,
                 "code": code_fingerprint(),
             }
         )
@@ -233,10 +215,23 @@ class SweepAgent:
     def _fire_once(self, hook: str, index: int) -> bool:
         if (hook, index) in self._fired:
             return False
-        if _matches(getattr(self.faults, hook), index):
+        if fault_hits(getattr(self.faults, hook), index):
             self._fired.add((hook, index))
             return True
         return False
+
+    def _error(self, index: int, attempt: int, exc_type: str, message: str) -> None:
+        self._send(
+            {
+                "type": "error",
+                "index": index,
+                "attempt": attempt,
+                "exc_type": exc_type,
+                "message": message,
+                "traceback": "",
+                "elapsed": 0.0,
+            }
+        )
 
     # -- job flow --
 
@@ -247,156 +242,40 @@ class SweepAgent:
         try:
             spec = unpack_pickle(message["spec"])
         except ProtocolError as exc:
-            self._send(
-                {
-                    "type": "error",
-                    "index": index,
-                    "attempt": attempt,
-                    "exc_type": "ProtocolError",
-                    "message": str(exc),
-                    "traceback": "",
-                    "elapsed": 0.0,
-                }
-            )
+            self._error(index, attempt, "ProtocolError", str(exc))
             return
         if self._fire_once("partition_on", index):
             self._mute_until = time.monotonic() + self.faults.partition_seconds
-        job = _AgentJob(
-            index=index,
-            attempt=attempt,
-            key=key,
-            spec=spec,
-            inject=dict(message.get("inject") or {}),
-        )
         if key:
             payload = self.cache.get(key)
             if payload is not None:
-                self._ack_done(job, payload, elapsed=0.0, cached=True)
+                done = {"index": index, "attempt": attempt, "key": key, "elapsed": 0.0}
+                self._ack_done({**done, "payload": payload}, cached=True)
                 return
-        if any(worker.busy is not None and worker.busy.index == index for worker in self._pool):
+        if index in self.pool.busy():
             return  # duplicate lease of a cell already in flight here
-        self._queue.append(job)
+        self._queue.append((index, attempt, spec, key, message.get("inject") or {}))
 
     def _on_cancel(self, index: int) -> None:
-        self._queue = [job for job in self._queue if job.index != index]
-        for worker in list(self._pool):
-            if worker.busy is not None and worker.busy.index == index:
-                self._kill_worker(worker)
+        self._queue = [job for job in self._queue if job[0] != index]
+        self.pool.cancel(index)
 
-    def _ack_done(
-        self, job: _AgentJob, payload: Dict[str, Any], elapsed: float, cached: bool
-    ) -> None:
-        if _matches(self.faults.slow_ack_on, job.index):
+    def _ack_done(self, done: Dict[str, Any], cached: bool) -> None:
+        """Ack a ``done`` (index, attempt, key, payload, elapsed), payload as a blob."""
+        if fault_hits(self.faults.slow_ack_on, done["index"]):
             time.sleep(self.faults.slow_ack_seconds)
-        if self._fire_once("drop_conn_on", job.index):
+        if self._fire_once("drop_conn_on", done["index"]):
             self._drop_driver("injected drop_conn_on")
             return
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self._send(
-            {
-                "type": "done",
-                "index": job.index,
-                "attempt": job.attempt,
-                "key": job.key,
-                "blob": pack_blob(blob),
-                "elapsed": elapsed,
-                "cached": cached,
-                "agent": self.name,
-            }
-        )
+        blob = pack_blob(pickle.dumps(done.pop("payload"), protocol=pickle.HIGHEST_PROTOCOL))
+        self._send({**done, "type": "done", "blob": blob, "cached": cached, "agent": self.name})
 
-    def _spawn_pool_worker(self) -> _AgentWorker:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        process, transport = spawn_worker(self._ctx, worker_id, self.heartbeat_interval)
-        worker = _AgentWorker(worker_id=worker_id, process=process, transport=transport)
-        self._pool.append(worker)
-        return worker
-
-    def _kill_worker(self, worker: _AgentWorker) -> None:
-        try:
-            worker.process.terminate()
-            worker.process.join(0.5)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(0.5)
-        except (OSError, ValueError):
-            pass
-        worker.transport.close()
-        if worker in self._pool:
-            self._pool.remove(worker)
-
-    def _pump(self) -> None:
-        while self._queue:
-            idle = next((worker for worker in self._pool if worker.busy is None), None)
-            if idle is None:
-                if len(self._pool) >= self.workers:
-                    return
-                idle = self._spawn_pool_worker()
-            job = self._queue.pop(0)
-            try:
-                idle.transport.send(
-                    (
-                        "task",
-                        job.index,
-                        job.attempt,
-                        job.spec,
-                        job.key,
-                        str(self.cache.root),
-                        job.inject,
-                    )
-                )
-            except TransportClosed:
-                self._queue.insert(0, job)
-                self._kill_worker(idle)
-                continue
-            idle.busy = job
-
-    def _on_worker_message(self, worker: _AgentWorker, message: tuple) -> None:
-        kind = message[0]
-        if kind == "start":
-            _, _, index, attempt = message
-            self._send({"type": "start", "index": index, "attempt": attempt})
-        elif kind == "done":
-            _, _, index, attempt, payload, elapsed = message
-            job = worker.busy
-            worker.busy = None
-            if job is not None and job.index == index:
-                self._ack_done(job, payload, elapsed=elapsed, cached=False)
-        elif kind == "error":
-            _, _, index, attempt, exc_type, exc_message, tb, elapsed = message
-            worker.busy = None
-            self._send(
-                {
-                    "type": "error",
-                    "index": index,
-                    "attempt": attempt,
-                    "exc_type": exc_type,
-                    "message": exc_message,
-                    "traceback": tb,
-                    "elapsed": elapsed,
-                }
-            )
-
-    def _check_pool(self) -> None:
-        for worker in list(self._pool):
-            if worker.process.is_alive():
-                continue
-            job = worker.busy
-            exitcode = worker.process.exitcode
-            self._kill_worker(worker)
-            if job is not None:
-                self._send(
-                    {
-                        "type": "error",
-                        "index": job.index,
-                        "attempt": job.attempt,
-                        "exc_type": "WorkerCrash",
-                        "message": f"agent worker died (exit code {exitcode})",
-                        "traceback": "",
-                        "elapsed": 0.0,
-                    }
-                )
+    def _relay(self, message: Dict[str, Any]) -> None:
+        """Forward one worker message to the driver."""
+        if message["type"] == "done":
+            self._ack_done(message, cached=False)
+        else:  # start and error travel as they are
+            self._send(message)
 
     # -- main loop --
 
@@ -414,18 +293,18 @@ class SweepAgent:
                 now = time.monotonic()
                 if not draining and stop is not None and stop():
                     draining = True
-                    for job in self._queue:
-                        self._send({"type": "requeue", "index": job.index, "attempt": job.attempt})
+                    for index, attempt, *_ in self._queue:
+                        self._send({"type": "requeue", "index": index, "attempt": attempt})
                     self._queue = []
                     self.progress("draining: finishing in-flight cells")
-                if draining and all(worker.busy is None for worker in self._pool):
+                if draining and not self.pool.busy():
                     self._send({"type": "bye", "agent": self.name})
                     return
                 waitables: List[Any] = [self._listen]
                 if self._driver is not None:
                     waitables.append(self._driver)
-                waitables.extend(worker.transport for worker in self._pool)
-                ready = wait_readable(waitables, timeout=self.tick)
+                waitables.extend(self.pool.transports())
+                ready = wait_readable(waitables, timeout=TICK)
                 if self._listen in ready:
                     self._accept()
                 if self._driver is not None and self._driver in ready:
@@ -445,35 +324,25 @@ class SweepAgent:
                             self._drop_driver("driver ended the session")
                             break
                         # "ping" and anything unknown just refresh liveness
-                for worker in list(self._pool):
-                    if worker.transport in ready:
-                        try:
-                            batch = worker.transport.recv_all()
-                        except TransportClosed:
-                            continue  # _check_pool reports and reaps it
-                        for message in batch:
-                            self._on_worker_message(worker, message)
-                self._check_pool()
-                if not draining:
-                    self._pump()
-                if now - self._last_heartbeat >= self.heartbeat_interval:
+                for message in self.pool.receive(ready):
+                    self._relay(message)
+                for index, attempt, kind, detail in self.pool.check():
+                    exc_type = "WorkerCrash" if kind == "crash" else "WorkerStall"
+                    self._error(index, attempt, exc_type, detail)
+                while not draining and self._queue and len(self.pool.busy()) < self.pool.size:
+                    if not self.pool.submit(*self._queue[0]):
+                        break  # that worker's pipe was closed; retry next round
+                    self._queue.pop(0)
+                if now - self._last_heartbeat >= self.pool.heartbeat_interval:
                     self._last_heartbeat = now
-                    busy = [w.busy.index for w in self._pool if w.busy is not None]
-                    self._send({"type": "heartbeat", "busy": busy})
-                if (
-                    self._driver is not None
-                    and now - self._driver_seen > self.driver_stall
-                ):
+                    self._send({"type": "heartbeat", "busy": self.pool.busy()})
+                if self._driver is not None and now - self._driver_seen > DRIVER_STALL:
                     # Half-open guard: a driver that went silent is gone.
-                    self._drop_driver(f"no driver traffic for {self.driver_stall:.0f}s")
+                    self._drop_driver(f"no driver traffic for {DRIVER_STALL:.0f}s")
         finally:
-            for worker in list(self._pool):
-                self._kill_worker(worker)
+            self.pool.close()
             self._drop_driver("agent exiting")
-            try:
-                self._listen.close()
-            except OSError:
-                pass
+            self.close()
 
     def close(self) -> None:
         try:
@@ -484,201 +353,90 @@ class SweepAgent:
 
 # -- driver side -------------------------------------------------------------
 
-
-@dataclass
-class _CellAttempt:
-    task: SweepTask
-    attempt: int
-    eligible_at: float
+#: At most this long, an interrupted driver waits for in-flight cells.
+DRAIN_TIMEOUT = 15.0
 
 
 @dataclass
-class _Lease:
-    cell: _CellAttempt
-    granted_at: float
-    expires_at: float
-    started_at: Optional[float] = None
-
-
-@dataclass
-class _Host:
-    name: str
-    addr: Tuple[str, int]
+class _AgentHost(_Host):
+    addr: Tuple[str, int] = ("", 0)
     transport: Optional[SocketTransport] = None
-    hello: Optional[Dict[str, Any]] = None
-    slots: int = 1
-    leases: Dict[int, _Lease] = field(default_factory=dict)
     connect_attempts: int = 0
     next_connect_at: float = 0.0
     hello_deadline: Optional[float] = None
-    written_off: bool = False
     ever_connected: bool = False
     last_seen: float = 0.0
     last_ping: float = 0.0
     reconnects: int = 0
-    cells: int = 0
-    #: start acks per cell index -- "how many times did this cell *run* here".
-    runs: Dict[int, int] = field(default_factory=dict)
+    ready: bool = False
 
 
-class RemoteExecutor:
+class RemoteExecutor(Scheduler):
     """Lease sweep cells to remote agents; trust only verified cache payloads.
 
-    ``run()`` returns ``(payloads, failures, stats, attempts, hosts)`` --
-    the executor tuple plus a per-host report (cells completed, runs per
-    cell, reconnects) for the observability layer.
+    The scheduler over agent hosts: a lost agent hands its cells back
+    without charge.  ``run()`` returns ``(payloads, failures, stats,
+    attempts, hosts)`` -- the executor tuple plus a per-host report (cells
+    completed, runs per cell, reconnects) for the observability layer.
     """
+
+    charges_lost_cells = False
 
     def __init__(
         self,
         tasks: Sequence[SweepTask],
         *,
         hosts: Sequence[Any],
-        keys: Optional[Mapping[int, str]] = None,
-        cache: Optional[ResultCache] = None,
-        timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
         lease_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.5,
         stall_timeout: Optional[float] = None,
         connect_retry: Optional[RetryPolicy] = None,
         quarantine_hosts: int = 2,
-        require_code_match: bool = True,
-        interrupt: Optional[Any] = None,
-        progress: Optional[Callable[[str], None]] = None,
-        tick: float = 0.05,
-        drain_timeout: Optional[float] = None,
+        **options: Any,
     ):
         if not hosts:
             raise ValueError("remote mode needs at least one agent host ('host:port')")
-        self.tasks = list(tasks)
-        self._by_index = {task.index: task for task in self.tasks}
-        self.keys = dict(keys or {})
-        self.cache = cache
-        self.timeout = timeout
-        self.retry = retry or RetryPolicy()
+        super().__init__(tasks, **options)
+        self.ledger.quarantine_hosts = max(1, quarantine_hosts)
         self.heartbeat_interval = heartbeat_interval
         self.stall_timeout = (
             stall_timeout if stall_timeout is not None else max(10.0 * heartbeat_interval, 5.0)
         )
-        self.lease_timeout = (
-            lease_timeout
-            if lease_timeout is not None
-            else (
-                timeout + self.stall_timeout + 5.0
-                if timeout is not None
-                else max(30.0, 6.0 * self.stall_timeout)
-            )
-        )
+        if lease_timeout is None:
+            lease_timeout = max(30.0, 6.0 * self.stall_timeout)
+            if self.timeout is not None:
+                lease_timeout = self.timeout + self.stall_timeout + 5.0
+        self.lease_timeout = lease_timeout
+        self.drain_timeout = min(self.lease_timeout, DRAIN_TIMEOUT)
         self.connect_retry = connect_retry or RetryPolicy(
             max_attempts=8, base_delay=0.2, max_delay=2.0
         )
-        self.quarantine_hosts = max(1, quarantine_hosts)
-        self.require_code_match = require_code_match
-        self.interrupt = interrupt
-        self.progress = progress or (lambda message: None)
-        self.tick = tick
-        self.drain_timeout = drain_timeout if drain_timeout is not None else min(
-            self.lease_timeout, 15.0
-        )
-        self.hosts: List[_Host] = []
         for value in hosts:
             host, port = parse_host(value)
-            self.hosts.append(_Host(name=f"{host}:{port}", addr=(host, port)))
-        self._failed_hosts: Dict[int, Set[str]] = {}
+            name = f"{host}:{port}"
+            self.hosts.append(_AgentHost(name=name, where=f" on {name}", addr=(host, port)))
         self._rng = random.Random(0x5EED)
         self._code = code_fingerprint()
 
-    # -- bookkeeping --
+    def run(self):
+        payloads, failures, stats, attempts = super().run()
+        hosts_report = {
+            host.name: {"cells": host.cells, "runs": dict(host.runs), "reconnects": host.reconnects}
+            for host in self.hosts
+        }
+        return payloads, failures, stats, attempts, hosts_report
 
-    def _resolved(self, state: Dict[str, Any], index: int) -> bool:
-        return index in state["payloads"] or index in state["failures"]
-
-    def _clear_leases(self, index: int) -> None:
-        for host in self.hosts:
-            if index in host.leases:
-                lease = host.leases.pop(index)
-                if lease.started_at is not None and host.transport is not None:
-                    self._send(host, {"type": "cancel", "index": index})
-
-    def _send(self, host: _Host, message: Dict[str, Any]) -> bool:
+    def _send(self, host: _AgentHost, message: Dict[str, Any]) -> bool:
         if host.transport is None:
             return False
         try:
             host.transport.send(message)
             return True
         except TransportClosed:
-            return False  # the next drain/health pass reaps the host
+            return False  # the next receive/maintain pass reaps the host
 
-    def _record_failure(
-        self,
-        state: Dict[str, Any],
-        cell: _CellAttempt,
-        kind: str,
-        message: str,
-        tb: str = "",
-    ) -> None:
-        index = cell.task.index
-        if self._resolved(state, index):
-            return
-        stats = state["stats"]
-        stats[kind] = stats.get(kind, 0) + 1
-        distinct = len(self._failed_hosts.get(index, ()))
-        multi_host = kind in ("error", "timeout") and distinct >= self.quarantine_hosts
-        if cell.attempt >= self.retry.max_attempts or multi_host:
-            if multi_host:
-                message = f"{message} (failed on {distinct} distinct host(s))"
-            state["failures"][index] = SweepFailure(
-                index=index,
-                label=cell.task.label,
-                kind=kind,
-                message=message,
-                traceback=tb,
-                attempts=cell.attempt,
-                quarantined=True,
-            )
-            stats["quarantined"] = stats.get("quarantined", 0) + 1
-            self._clear_leases(index)
-            self.progress(
-                f"quarantined {cell.task.label or index} after {cell.attempt} attempt(s) "
-                f"on {max(distinct, 1)} host(s): {kind}: {message}"
-            )
-        else:
-            delay = self.retry.delay(cell.attempt, self._rng)
-            state["pending"].append(
-                _CellAttempt(cell.task, cell.attempt + 1, time.monotonic() + delay)
-            )
-            stats["retried"] = stats.get("retried", 0) + 1
-            stats["backoff_seconds"] = round(stats.get("backoff_seconds", 0.0) + delay, 6)
-            self.progress(
-                f"retrying {cell.task.label or index} in {delay:.2f}s "
-                f"(attempt {cell.attempt + 1}/{self.retry.max_attempts}; {kind})"
-            )
-
-    def _requeue(self, state: Dict[str, Any], cell: _CellAttempt) -> None:
-        """Give a cell back to the scheduler without charging an attempt.
-
-        Used when the *host* failed (lost connection, drain), not the cell.
-        """
-        index = cell.task.index
-        if self._resolved(state, index):
-            return
-        state["pending"].append(_CellAttempt(cell.task, cell.attempt, time.monotonic()))
-
-    def _lose_host(
-        self, state: Dict[str, Any], host: _Host, reason: str, *, connect_failure: bool = False
-    ) -> None:
-        if host.transport is not None:
-            host.transport.close()
-            host.transport = None
-        host.hello = None
-        host.hello_deadline = None
-        leases = list(host.leases.values())
-        host.leases.clear()
-        for lease in leases:
-            self._requeue(state, lease.cell)
-        if host.ever_connected and not connect_failure:
-            state["stats"]["host_lost"] = state["stats"].get("host_lost", 0) + 1
+    def _connect_failed(self, host: _AgentHost, reason: str) -> None:
+        """Back off before the next connection, or write the host off."""
         host.connect_attempts += 1
         if host.connect_attempts >= self.connect_retry.max_attempts:
             host.written_off = True
@@ -691,208 +449,103 @@ class RemoteExecutor:
             host.next_connect_at = time.monotonic() + delay
             self.progress(f"lost host {host.name} ({reason}); retrying in {delay:.2f}s")
 
-    # -- main loop --
+    def _lose_host(self, host: _AgentHost, reason: str, *, connect_failure: bool = False) -> None:
+        if host.transport is not None:
+            host.transport.close()
+            host.transport = None
+        host.ready = False
+        host.hello_deadline = None
+        for index in list(host.leases):
+            self._lost(host, index, "host-lost", reason)
+        if host.ever_connected and not connect_failure:
+            self.ledger.bump("host_lost")
+        self._connect_failed(host, reason)
 
-    def run(self):
-        state: Dict[str, Any] = {
-            "payloads": {},
-            "failures": {},
-            "stats": {"computed": 0},
-            "attempts": {},
-            "pending": [_CellAttempt(task, 1, 0.0) for task in self.tasks],
-        }
+    # -- slot-kind hooks --
+
+    def _maintain(self, now: float) -> None:
+        for host in self.hosts:
+            if host.transport is None:
+                if not host.written_off and now >= host.next_connect_at:
+                    self._connect(host, now)
+            elif not host.ready:
+                if host.hello_deadline is not None and now > host.hello_deadline:
+                    self._lose_host(host, "no hello in time", connect_failure=True)
+            elif now - host.last_seen > self.stall_timeout:
+                self._lose_host(
+                    host,
+                    f"no heartbeat for {now - host.last_seen:.1f}s "
+                    f"(threshold {self.stall_timeout:.1f}s)",
+                )
+            elif now - host.last_ping >= self.heartbeat_interval:
+                host.last_ping = now
+                self._send(host, {"type": "ping"})
+
+    def _connect(self, host: _AgentHost, now: float) -> None:
         try:
-            self._loop(state)
-        finally:
-            self._close_all()
-        if self.interrupt is not None and getattr(self.interrupt, "requested", False):
-            for task in self.tasks:
-                if not self._resolved(state, task.index):
-                    state["failures"][task.index] = SweepFailure(
-                        index=task.index,
-                        label=task.label,
-                        kind="cancelled",
-                        message="sweep interrupted before this cell completed",
-                    )
-                    state["stats"]["cancelled"] = state["stats"].get("cancelled", 0) + 1
-        hosts_report = {
-            host.name: {
-                "cells": host.cells,
-                "runs": dict(host.runs),
-                "reconnects": host.reconnects,
-            }
-            for host in self.hosts
-        }
-        return (
-            state["payloads"],
-            state["failures"],
-            state["stats"],
-            state["attempts"],
-            hosts_report,
-        )
-
-    def _loop(self, state: Dict[str, Any]) -> None:
-        total = len(self.tasks)
-        while len(state["payloads"]) + len(state["failures"]) < total:
-            if self.interrupt is not None and getattr(self.interrupt, "requested", False):
-                self._drain_on_interrupt(state)
-                return
-            now = time.monotonic()
-            self._connect_hosts(state, now)
-            self._dispatch(state)
-            self._drain(state)
-            self._check_health(state)
-            if all(host.written_off for host in self.hosts) and not any(
-                host.leases for host in self.hosts
-            ):
-                for task in self.tasks:
-                    if not self._resolved(state, task.index):
-                        state["failures"][task.index] = SweepFailure(
-                            index=task.index,
-                            label=task.label,
-                            kind="no-hosts",
-                            message="every agent host is unreachable",
-                            quarantined=True,
-                        )
-                        state["stats"]["no-hosts"] = state["stats"].get("no-hosts", 0) + 1
-                return
-
-    def _drain_on_interrupt(self, state: Dict[str, Any]) -> None:
-        """Graceful drain: no new leases; collect in-flight acks briefly."""
-        deadline = time.monotonic() + self.drain_timeout
-        while (
-            any(host.leases for host in self.hosts)
-            and time.monotonic() < deadline
-        ):
-            self._drain(state)
-            self._check_health(state)
-        for host in self.hosts:
-            self._send(host, {"type": "stop"})
-
-    def _connect_hosts(self, state: Dict[str, Any], now: float) -> None:
-        for host in self.hosts:
-            if host.transport is not None or host.written_off or now < host.next_connect_at:
-                continue
-            try:
-                sock = socket.create_connection(host.addr, timeout=1.0)
-            except OSError as exc:
-                host.connect_attempts += 1
-                if host.connect_attempts >= self.connect_retry.max_attempts:
-                    host.written_off = True
-                    self.progress(
-                        f"host {host.name} written off after {host.connect_attempts} "
-                        f"failed connection(s): {exc}"
-                    )
-                else:
-                    delay = self.connect_retry.delay(host.connect_attempts, self._rng)
-                    host.next_connect_at = now + delay
-                continue
-            host.transport = SocketTransport(sock)
-            host.hello = None
-            host.hello_deadline = now + max(self.stall_timeout, 5.0)
-            host.last_seen = now
-            host.last_ping = now
-            if host.ever_connected:
-                host.reconnects += 1
-                state["stats"]["reconnects"] = state["stats"].get("reconnects", 0) + 1
-            self.progress(f"connected to {host.name}; waiting for hello")
-
-    def _dispatch(self, state: Dict[str, Any]) -> None:
-        now = time.monotonic()
-        pending: List[_CellAttempt] = state["pending"]
-        pending[:] = [
-            cell for cell in pending if not self._resolved(state, cell.task.index)
-        ]
-        eligible = [cell for cell in pending if cell.eligible_at <= now]
-        for cell in eligible:
-            index = cell.task.index
-            if any(index in host.leases for host in self.hosts):
-                # Already leased (a retry raced a live lease); let the lease
-                # play out -- its ack resolves the cell either way.
-                pending.remove(cell)
-                continue
-            candidates = [
-                host
-                for host in self.hosts
-                if host.transport is not None
-                and host.hello is not None
-                and len(host.leases) < host.slots
-            ]
-            if not candidates:
-                return
-            failed_on = self._failed_hosts.get(index, set())
-            fresh = [host for host in candidates if host.name not in failed_on]
-            if not fresh and any(
-                host.name not in failed_on
-                and host.transport is not None
-                and host.hello is not None
-                for host in self.hosts
-            ):
-                # A live host this cell has not failed on is merely full:
-                # wait for its slot rather than repeat the failure on a host
-                # that already saw it (which would also defeat distinct-host
-                # quarantine).
-                continue
-            pool = fresh or candidates
-            host = min(pool, key=lambda h: len(h.leases))
-            sent = self._send(
-                host,
-                {
-                    "type": "task",
-                    "index": index,
-                    "attempt": cell.attempt,
-                    "key": self.keys.get(index),
-                    "spec": pack_pickle(cell.task.spec),
-                    "inject": dict(cell.task.inject),
-                    "timeout": self.timeout,
-                },
-            )
-            if not sent:
-                self._lose_host(state, host, "connection lost at dispatch")
-                continue
-            pending.remove(cell)
-            state["attempts"][index] = state["attempts"].get(index, 0) + 1
-            host.leases[index] = _Lease(
-                cell=cell, granted_at=now, expires_at=now + self.lease_timeout
-            )
-
-    def _drain(self, state: Dict[str, Any]) -> None:
-        connected = [host for host in self.hosts if host.transport is not None]
-        if not connected:
-            time.sleep(self.tick)
+            sock = socket.create_connection(host.addr, timeout=1.0)
+        except OSError as exc:
+            self._connect_failed(host, str(exc))
             return
-        by_transport = {host.transport: host for host in connected}
-        ready = wait_readable(list(by_transport), timeout=self.tick)
-        for transport in ready:
-            host = by_transport[transport]
+        host.transport = SocketTransport(sock)
+        host.hello_deadline = now + max(self.stall_timeout, 5.0)
+        host.last_seen = now
+        host.last_ping = now
+        if host.ever_connected:
+            host.reconnects += 1
+            self.ledger.bump("reconnects")
+        self.progress(f"connected to {host.name}; waiting for hello")
+
+    def _send_task(self, host: _AgentHost, cell: _Cell) -> bool:
+        index = cell.task.index
+        sent = self._send(
+            host,
+            {
+                "type": "task",
+                "index": index,
+                "attempt": cell.attempt,
+                "key": self.keys.get(index),
+                "spec": pack_pickle(cell.task.spec),
+                "inject": dict(cell.task.inject),
+            },
+        )
+        if not sent:
+            self._lose_host(host, "connection lost at dispatch")
+        return sent
+
+    def _receive(self) -> List[Tuple[_Host, Dict[str, Any]]]:
+        connected = {host.transport: host for host in self.hosts if host.transport is not None}
+        if not connected:
+            time.sleep(TICK)
+            return []
+        out: List[Tuple[_Host, Dict[str, Any]]] = []
+        for transport in wait_readable(list(connected), timeout=TICK):
+            host = connected[transport]
             try:
                 messages = transport.recv_all()
             except (TransportClosed, ProtocolError) as exc:
-                self._lose_host(state, host, str(exc))
+                self._lose_host(host, str(exc))
                 continue
-            for message in messages:
-                host.last_seen = time.monotonic()
-                self._handle(state, host, message)
+            host.last_seen = time.monotonic()
+            out.extend((host, message) for message in messages)
+        return out
 
-    def _handle(self, state: Dict[str, Any], host: _Host, message: Dict[str, Any]) -> None:
+    def _on_control(self, host: _AgentHost, message: Dict[str, Any]) -> None:
         kind = message.get("type")
         if kind == "hello":
             if message.get("proto") != PROTOCOL_VERSION:
                 host.written_off = True
-                self._lose_host(
-                    state, host, f"protocol mismatch (agent proto {message.get('proto')!r})"
-                )
+                self._lose_host(host, f"protocol mismatch (agent proto {message.get('proto')!r})")
                 return
-            if self.require_code_match and message.get("code") != self._code:
+            if message.get("code") != self._code:
                 host.written_off = True
                 self._lose_host(
-                    state,
                     host,
                     "code fingerprint mismatch (agent runs a different source tree; "
                     "its results would be cached under the wrong keys)",
                 )
                 return
-            host.hello = message
+            host.ready = True
             host.slots = max(1, int(message.get("slots", 1)))
             host.hello_deadline = None
             host.ever_connected = True
@@ -901,136 +554,28 @@ class RemoteExecutor:
                 f"host {host.name} ready (agent {message.get('agent')}, "
                 f"{host.slots} slot(s))"
             )
-        elif kind == "start":
-            index = int(message["index"])
-            lease = host.leases.get(index)
-            if lease is not None:
-                lease.started_at = time.monotonic()
-            host.runs[index] = host.runs.get(index, 0) + 1
-        elif kind == "heartbeat":
-            pass  # last_seen already refreshed
-        elif kind == "requeue":
-            index = int(message["index"])
-            lease = host.leases.pop(index, None)
-            if lease is not None:
-                self._requeue(state, lease.cell)
-        elif kind == "done":
-            self._handle_done(state, host, message)
-        elif kind == "error":
-            index = int(message["index"])
-            lease = host.leases.pop(index, None)
-            if self._resolved(state, index):
-                return
-            cell = (
-                lease.cell
-                if lease is not None
-                else _CellAttempt(self._by_index[index], int(message.get("attempt", 1)), 0.0)
-            )
-            self._failed_hosts.setdefault(index, set()).add(host.name)
-            self._record_failure(
-                state,
-                cell,
-                "error",
-                f"{message.get('exc_type')}: {message.get('message')} [on {host.name}]",
-                message.get("traceback", ""),
-            )
         elif kind == "bye":
-            self._lose_host(state, host, "agent drained and said bye")
+            self._lose_host(host, "agent drained and said bye")
+        # "heartbeat": last_seen is already refreshed
 
-    def _handle_done(self, state: Dict[str, Any], host: _Host, message: Dict[str, Any]) -> None:
-        index = int(message["index"])
-        lease = host.leases.pop(index, None)
-        if self._resolved(state, index):
-            return  # stale ack from a superseded lease; first writer won
-        cell = (
-            lease.cell
-            if lease is not None
-            else _CellAttempt(self._by_index[index], int(message.get("attempt", 1)), 0.0)
-        )
-        expected_key = self.keys.get(index)
-        try:
-            if message.get("key") != expected_key:
-                raise ProtocolError(
-                    f"key mismatch: agent acked {str(message.get('key'))[:12]}..., "
-                    f"cell is {str(expected_key)[:12]}..."
-                )
-            blob = unpack_blob(message.get("blob"))
-            payload = pickle.loads(blob)
-            if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-                raise ProtocolError("payload is not a current-version cache entry")
-            if expected_key is not None and payload.get("cache_key") not in (None, expected_key):
-                raise ProtocolError("payload is bound to a different cache key")
-        except Exception as exc:
-            # Corrupt on the wire or mis-cached on the agent: exactly a torn
-            # cache entry -- a miss, retried like any failure.
-            self._record_failure(
-                state, cell, "bad-payload", f"{type(exc).__name__}: {exc} [from {host.name}]"
+    def _accept(self, host: _AgentHost, message: Dict[str, Any]) -> Any:
+        expected_key = self.keys.get(int(message["index"]))
+        if message.get("key") != expected_key:
+            raise ProtocolError(
+                f"key mismatch: agent acked {str(message.get('key'))[:12]}..., "
+                f"cell is {str(expected_key)[:12]}..."
             )
-            return
+        payload = load_entry(unpack_blob(message.get("blob")), expected_key)
+        if payload is None:
+            raise ProtocolError("payload is not a current-version cache entry for this cell")
         if self.cache is not None and expected_key is not None:
             self.cache.put(expected_key, payload)
-        state["payloads"][index] = payload
-        self._clear_leases(index)
-        stats = state["stats"]
-        stats["computed"] += 1
-        if message.get("cached"):
-            stats["agent_cached"] = stats.get("agent_cached", 0) + 1
-        host.cells += 1
-        done = len(state["payloads"])
-        origin = "agent cache" if message.get("cached") else f"{message.get('elapsed', 0.0):.2f}s"
-        self.progress(
-            f"[{done + len(state['failures'])}/{len(self.tasks)}] "
-            f"{self._by_index[index].label or index}: ok on {host.name} ({origin})"
-        )
+        return payload
 
-    def _check_health(self, state: Dict[str, Any]) -> None:
-        now = time.monotonic()
-        for host in self.hosts:
-            if host.transport is None:
-                continue
-            if host.hello is None:
-                if host.hello_deadline is not None and now > host.hello_deadline:
-                    self._lose_host(state, host, "no hello in time", connect_failure=True)
-                continue
-            if now - host.last_seen > self.stall_timeout:
-                self._lose_host(
-                    state,
-                    host,
-                    f"no heartbeat for {now - host.last_seen:.1f}s "
-                    f"(threshold {self.stall_timeout:.1f}s)",
-                )
-                continue
-            if now - host.last_ping >= self.heartbeat_interval:
-                host.last_ping = now
-                self._send(host, {"type": "ping"})
-            for index, lease in list(host.leases.items()):
-                if (
-                    self.timeout is not None
-                    and lease.started_at is not None
-                    and now - lease.started_at > self.timeout
-                ):
-                    host.leases.pop(index, None)
-                    self._send(host, {"type": "cancel", "index": index})
-                    self._failed_hosts.setdefault(index, set()).add(host.name)
-                    self._record_failure(
-                        state,
-                        lease.cell,
-                        "timeout",
-                        f"cell exceeded the {self.timeout:.1f}s wall-clock timeout "
-                        f"on {host.name}",
-                    )
-                elif now > lease.expires_at:
-                    host.leases.pop(index, None)
-                    self._send(host, {"type": "cancel", "index": index})
-                    self._record_failure(
-                        state,
-                        lease.cell,
-                        "lease-expired",
-                        f"lease expired after {self.lease_timeout:.1f}s on {host.name}; "
-                        "reassigning",
-                    )
+    def _cancel(self, host: _AgentHost, index: int) -> None:
+        self._send(host, {"type": "cancel", "index": index})
 
-    def _close_all(self) -> None:
+    def _close(self) -> None:
         for host in self.hosts:
             if host.transport is not None:
                 self._send(host, {"type": "stop"})
@@ -1041,30 +586,8 @@ class RemoteExecutor:
 # -- helpers -----------------------------------------------------------------
 
 
-def run_agent(
-    bind: str = "127.0.0.1:0",
-    *,
-    workers: int = 1,
-    cache: Any = None,
-    faults: Optional[AgentFaults] = None,
-    heartbeat_interval: float = 0.5,
-    stop: Optional[Callable[[], bool]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> None:
-    """Blocking convenience wrapper: build a :class:`SweepAgent` and serve."""
-    host, port = parse_host(bind)
-    agent = SweepAgent(
-        host,
-        port,
-        workers=workers,
-        cache=cache,
-        faults=faults,
-        heartbeat_interval=heartbeat_interval,
-        progress=progress,
-    )
-    if progress is not None:
-        progress(f"agent listening on {agent.address[0]}:{agent.address[1]}")
-    agent.serve_forever(stop=stop)
+#: Seconds a loopback agent may take to print its listening address.
+AGENT_STARTUP_TIMEOUT = 30.0
 
 
 def spawn_local_agents(
@@ -1073,10 +596,7 @@ def spawn_local_agents(
     cache_dirs: Optional[Sequence[Any]] = None,
     workers: int = 1,
     faults: Optional[Sequence[Optional[AgentFaults]]] = None,
-    heartbeat_interval: float = 0.5,
-    python: Optional[str] = None,
     env: Optional[Mapping[str, str]] = None,
-    startup_timeout: float = 30.0,
 ):
     """Spawn ``count`` loopback agent subprocesses; return ``(procs, hosts)``.
 
@@ -1091,11 +611,10 @@ def spawn_local_agents(
     procs = []
     hosts: List[str] = []
     for i in range(count):
-        command = [python or sys.executable, "-u", "-m", "repro", "agent", "127.0.0.1:0"]
+        command = [sys.executable, "-u", "-m", "repro", "agent", "127.0.0.1:0"]
         command += ["--workers", str(workers)]
         if cache_dirs is not None:
             command += ["--cache-dir", str(cache_dirs[i])]
-        command += ["--heartbeat", str(heartbeat_interval)]
         fault = faults[i] if faults is not None else None
         if fault is not None:
             for name in ("drop_conn_on", "partition_on", "slow_ack_on"):
@@ -1114,7 +633,7 @@ def spawn_local_agents(
             env=dict(env) if env is not None else None,
         )
         procs.append(proc)
-    deadline = time.monotonic() + startup_timeout
+    deadline = time.monotonic() + AGENT_STARTUP_TIMEOUT
     for proc in procs:
         line = ""
         while time.monotonic() < deadline:

@@ -26,10 +26,7 @@ class GracefulInterrupt:
     ``on_first`` is ``"flag"`` (set :attr:`requested`; callers poll it) or
     ``"raise"`` (raise :class:`SweepInterrupted` in the main thread).
     ``force_exit`` is called with the exit code on the second signal
-    (``os._exit`` by default; injectable for tests).  ``on_request`` is an
-    optional callback invoked on the first signal -- the remote driver and
-    agent use it to start draining (stop leasing, finish in-flight cells)
-    without waiting for their next poll.
+    (``os._exit`` by default; injectable for tests).
     """
 
     EXIT_CODE = 130
@@ -40,7 +37,6 @@ class GracefulInterrupt:
         hint: str = "",
         force_exit: Callable[[int], None] = os._exit,
         stream=None,
-        on_request: Optional[Callable[[], None]] = None,
     ):
         if on_first not in ("flag", "raise"):
             raise ValueError(f"on_first must be 'flag' or 'raise', got {on_first!r}")
@@ -48,7 +44,6 @@ class GracefulInterrupt:
         self.hint = hint
         self.force_exit = force_exit
         self.stream = stream if stream is not None else sys.stderr
-        self.on_request = on_request
         self.requested = False
         self._previous: dict = {}
 
@@ -65,8 +60,6 @@ class GracefulInterrupt:
         if self.hint:
             message += f" {self.hint}"
         print(message, file=self.stream, flush=True)
-        if self.on_request is not None:
-            self.on_request()
         if self.on_first == "raise":
             raise SweepInterrupted(name)
 

@@ -1,8 +1,9 @@
 """Transport abstraction under the sweep fabric's worker/agent protocols.
 
-The executor's per-worker protocol (``hello``/``start``/``heartbeat``/
-``done``/``error``) was designed transport-agnostic; this module makes the
-transport an explicit, swappable object with one tiny interface:
+The sweep scheduler's messages (``hello``/``start``/``heartbeat``/
+``done``/``error``, each a dict with a ``"type"``) are the same on a worker
+pipe and an agent socket; this module makes the transport an explicit,
+swappable object with one tiny interface:
 
 * ``send(message)``     -- ship one message; raises :class:`TransportClosed`
   the moment the peer is unreachable (callers treat that as a dead peer,
@@ -15,7 +16,7 @@ transport an explicit, swappable object with one tiny interface:
 Two implementations:
 
 * :class:`PipeTransport` wraps the ``multiprocessing`` duplex pipe the
-  local executor drives its spawned workers over (messages are tuples);
+  worker pool drives its spawned workers over;
 * :class:`SocketTransport` frames messages as line-delimited JSON over a
   TCP socket -- the remote-dispatch protocol (:mod:`repro.sweep.remote`).
   Binary payloads travel base64-encoded with their SHA-256 alongside
@@ -118,8 +119,8 @@ def parse_host(value: Any) -> Tuple[str, int]:
 class PipeTransport:
     """The ``multiprocessing`` duplex pipe, behind the transport interface.
 
-    Messages are plain tuples (the executor's worker protocol); framing and
-    integrity come from the pipe itself.
+    Messages are pickled by the pipe, so they may carry any object (specs,
+    result payloads); framing and integrity come from the pipe itself.
     """
 
     def __init__(self, conn):
@@ -178,10 +179,6 @@ class SocketTransport:
             self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
         except OSError:
             pass
-
-    @property
-    def closed(self) -> bool:
-        return self._eof
 
     def send(self, message: Dict[str, Any]) -> None:
         if "type" not in message:

@@ -328,3 +328,40 @@ class TestAgentFaultsParse:
             AgentFaults.parse(["explode_on=1"])
         with pytest.raises(ValueError, match="unknown fault hook"):
             AgentFaults.parse(["no-equals-sign"])
+
+
+class TestAgentWorkerCrash:
+    def test_crashed_agent_worker_is_charged_and_retried(self, agents, serial_reference):
+        # The agent's worker dies on the cell's first attempt: the agent
+        # relays the death as an error, the driver charges one attempt, and
+        # the retry (on the same, only host) succeeds.
+        (a,) = agents(1)
+        tasks = make_tasks()
+        tasks[0] = with_inject(tasks[0], crash_on=(1,))
+        report = run_sweep(
+            tasks,
+            mode="remote",
+            hosts=[a.host],
+            cache=None,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.2),
+        )
+        assert report.stats["failed"] == 0
+        assert report.attempts[0] == 2
+        assert all(report.attempts[task.index] == 1 for task in tasks[1:])
+        assert report.stats["error"] == 1
+        assert report.stats["retried"] == 1
+        assert report.aggregate("ref").rows == serial_reference
+
+
+class TestRunSweepInputs:
+    def test_hosts_go_with_remote_mode_only_and_always(self, tmp_path):
+        tasks = make_tasks()
+        for mode in ("serial", "sharded"):
+            with pytest.raises(ValueError, match="hosts="):
+                run_sweep(tasks, mode=mode, hosts=["10.0.0.1:7070"])
+        # Even with every cell cached (so no agent would be dialled), a
+        # remote sweep without hosts is a caller error, not a silent no-op.
+        warm = run_sweep(tasks, mode="serial", cache=ResultCache(tmp_path))
+        assert warm.stats["computed"] == len(tasks)
+        with pytest.raises(ValueError, match="at least one agent host"):
+            run_sweep(tasks, mode="remote", cache=ResultCache(tmp_path))
