@@ -1,18 +1,23 @@
-"""Performance harness: scalar vs vectorized fluid backends + sim engine.
+"""Performance harness: the fluid engine against its per-flow reference twins,
+plus the sim engine.
+
+The "scalar" / "dict" side of every before/after pair is the per-flow
+reference twin from ``tests/reference/`` (the harness puts ``tests/`` on
+``sys.path``); the "vectorized" / "array" side is the product code.
 
 Times (stdlib ``time.perf_counter`` only, no external dependencies):
 
 * one control-loop iteration of every fluid scheme -- xWI, DGD, RCP* and
   DCTCP -- at 50 / 200 / 1000 flows on a leaf-spine-like multi-bottleneck
-  topology, scalar vs vectorized backend, including a parity check of the
-  final allocations;
-* weighted max-min water-filling alone: the scalar reference, the one-shot
-  vectorized entry point, and the compiled entry point
+  topology, scalar twin vs product, including a parity check of the final
+  allocations;
+* weighted max-min water-filling alone: the scalar twin, the one-shot
+  product entry point, and the compiled entry point
   (:class:`repro.fluid.vectorized.CompiledMaxMin`) that amortizes the
   incidence build over repeated solves;
-* the Oracle (:func:`repro.fluid.oracle.solve_num`): the scalar per-flow
-  dual against the vectorized batched dual, on an all-log workload where
-  both backends converge to the same optimum;
+* the Oracle (:func:`repro.fluid.oracle.solve_num`): the per-flow dual
+  twin against the batched dual, on an all-log workload where both
+  converge to the same optimum;
 * the *persistent* dynamic Oracle
   (:class:`repro.fluid.oracle.PersistentDualSolver`) against the warm
   scipy path on a churn trace, gated at 1e-6 against tightly converged
@@ -21,11 +26,11 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   (:meth:`repro.fluid.vectorized.CompiledFluidNetwork.refresh`) against a
   full recompile per churn event, with a column-for-column equality check;
 * batched multi-bottleneck water-filling against the one-bottleneck-per-
-  round schedule, with the freezing-round / distinct-level counters that
+  round reference schedule, with the freezing-round / distinct-level counters that
   pin the round count to the bottleneck-level structure;
 * the flow-level dynamic simulation
   (:class:`repro.experiments.dynamic_fluid.FlowLevelSimulation`): the dict
-  reference loop against the array backend on an identical arrival trace
+  reference loop against the product's array loop on an identical arrival trace
   (the dict side is sampled out above 2000 flows -- parity is pinned at
   the sampled sizes), plus -- in full mode -- the Fig. 5 paper-scale
   end-to-end run (10k-flow Poisson web-search workload, Oracle +
@@ -42,12 +47,12 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   an identical self-rescheduling workload (the before/after pair for the
   event free-list), and a packet stream through an :class:`OutputPort`.
 
-Any scheme whose vectorized allocation drifts more than 1e-9 (relative)
-from its scalar reference aborts the run with a loud error -- the harness
-doubles as a coarse parity canary.  The flow-level dict/array pair is held
-to the same 1e-9; the Oracle pair is held to 1e-6, because its two
-backends run the same L-BFGS-B solve on reassociated floating-point sums
-and may stop at marginally different points of the same optimum.
+Any scheme whose allocation drifts more than 1e-9 (relative) from its
+scalar twin aborts the run with a loud error -- the harness doubles as a
+coarse parity canary.  The flow-level dict/array pair is held to the same
+1e-9; the Oracle pair is held to 1e-6, because its two sides run the same
+L-BFGS-B solve on reassociated floating-point sums and may stop at
+marginally different points of the same optimum.
 
 Results are written as JSON to ``BENCH_fluid.json`` at the repository root
 (override with ``--out``) so successive PRs accumulate a perf trajectory.
@@ -79,12 +84,21 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-_SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
-)
-if _SRC not in sys.path:  # allow running without installation
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+# ``src`` allows running without installation; ``tests`` holds the
+# per-flow reference twins (``import reference``).
+for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
+import reference
+from reference import (
+    DictFlowLevelSimulation,
+    ScalarDctcpFluidSimulator,
+    ScalarDgdFluidSimulator,
+    ScalarRcpStarFluidSimulator,
+    ScalarXwiFluidSimulator,
+)
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility
 from repro.experiments.dynamic_fluid import EqualSharePolicy, FlowLevelSimulation
 from repro.experiments.fig5_dynamic import DeviationSettings, run_deviation_experiment
@@ -106,7 +120,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_fluid.json")
 
 PARITY_TOLERANCE = 1e-9
-#: The Oracle's two backends run the same L-BFGS-B solve on reassociated
+#: The Oracle's two sides run the same L-BFGS-B solve on reassociated
 #: floating-point sums, so their stopping points can differ marginally even
 #: though they bracket the same optimum; the bench gate is coarser than the
 #: 1e-9 the test-suite parity grid enforces on well-conditioned problems.
@@ -118,12 +132,12 @@ FIG5_PAPER_BUDGET_SECONDS = 60.0
 #: of the long-horizon replay bench so the workload is measured once).
 FIG5_100K_BUDGET_SECONDS = 600.0
 
-#: The comparison schemes ported to ``backend="vectorized"`` in this repo;
-#: xWI is benchmarked separately (it predates them and skips history).
+#: The comparison schemes as (scalar twin, product) pairs; xWI is
+#: benchmarked separately (it predates them and skips history).
 SCHEME_SIMULATORS = {
-    "dgd": DgdFluidSimulator,
-    "rcp_star": RcpStarFluidSimulator,
-    "dctcp": DctcpFluidSimulator,
+    "dgd": (ScalarDgdFluidSimulator, DgdFluidSimulator),
+    "rcp_star": (ScalarRcpStarFluidSimulator, RcpStarFluidSimulator),
+    "dctcp": (ScalarDctcpFluidSimulator, DctcpFluidSimulator),
 }
 
 
@@ -144,7 +158,7 @@ def build_network(n_flows: int, seed: int = 1, utilities: str = "mixed") -> Flui
     ``utilities="mixed"`` (default) rotates through log / alpha-fair / FCT
     utilities; ``utilities="log"`` uses weighted log utilities only -- the
     well-conditioned instance the Oracle benchmark needs so that both of
-    its backends converge to the same optimum.
+    its sides converge to the same optimum.
     """
     rng = random.Random(seed)
     capacities = {f"leaf{i}": 10e9 for i in range(BENCH_LEAVES)}
@@ -176,9 +190,9 @@ def _max_rel_rate_diff(reference: Dict, candidate: Dict) -> float:
     )
 
 
-def _time_xwi(n_flows: int, iterations: int, backend: str, seed: int = 1):
+def _time_xwi(n_flows: int, iterations: int, simulator_cls, seed: int = 1):
     network = build_network(n_flows, seed=seed)
-    simulator = XwiFluidSimulator(network, backend=backend)
+    simulator = simulator_cls(network)
     simulator.run(2, record_history=False)  # warm up (incl. one-time compile)
     start = time.perf_counter()
     records = simulator.run(iterations, record_history=False)
@@ -189,8 +203,8 @@ def _time_xwi(n_flows: int, iterations: int, backend: str, seed: int = 1):
 def bench_xwi(flow_counts: List[int], iterations: int) -> List[Dict]:
     rows = []
     for n_flows in flow_counts:
-        scalar_s, scalar_rates = _time_xwi(n_flows, iterations, "scalar")
-        vector_s, vector_rates = _time_xwi(n_flows, iterations, "vectorized")
+        scalar_s, scalar_rates = _time_xwi(n_flows, iterations, ScalarXwiFluidSimulator)
+        vector_s, vector_rates = _time_xwi(n_flows, iterations, XwiFluidSimulator)
         rows.append(
             {
                 "flows": n_flows,
@@ -204,8 +218,8 @@ def bench_xwi(flow_counts: List[int], iterations: int) -> List[Dict]:
     return rows
 
 
-def _time_scheme(scheme: str, n_flows: int, iterations: int, backend: str, seed: int = 1):
-    simulator = SCHEME_SIMULATORS[scheme](build_network(n_flows, seed=seed), backend=backend)
+def _time_scheme(simulator_cls, n_flows: int, iterations: int, seed: int = 1):
+    simulator = simulator_cls(build_network(n_flows, seed=seed))
     simulator.run(2, record_history=False)  # warm up (incl. one-time compile)
     start = time.perf_counter()
     records = simulator.run(iterations, record_history=False)
@@ -214,13 +228,13 @@ def _time_scheme(scheme: str, n_flows: int, iterations: int, backend: str, seed:
 
 
 def bench_schemes(flow_counts: List[int], iterations: int) -> Dict[str, List[Dict]]:
-    """Scalar vs vectorized timing + parity for DGD, RCP* and DCTCP."""
+    """Scalar twin vs product timing + parity for DGD, RCP* and DCTCP."""
     results: Dict[str, List[Dict]] = {}
-    for scheme in SCHEME_SIMULATORS:
+    for scheme, (scalar_cls, product_cls) in SCHEME_SIMULATORS.items():
         rows = []
         for n_flows in flow_counts:
-            scalar_s, scalar_rates = _time_scheme(scheme, n_flows, iterations, "scalar")
-            vector_s, vector_rates = _time_scheme(scheme, n_flows, iterations, "vectorized")
+            scalar_s, scalar_rates = _time_scheme(scalar_cls, n_flows, iterations)
+            vector_s, vector_rates = _time_scheme(product_cls, n_flows, iterations)
             rows.append(
                 {
                     "flows": n_flows,
@@ -236,7 +250,7 @@ def bench_schemes(flow_counts: List[int], iterations: int) -> Dict[str, List[Dic
 
 
 def bench_maxmin(flow_counts: List[int], repeats: int) -> List[Dict]:
-    """Repeated weighted max-min solves: scalar vs one-shot vs compiled."""
+    """Repeated weighted max-min solves: scalar twin vs one-shot vs compiled."""
     rows = []
     for n_flows in flow_counts:
         network = build_network(n_flows, seed=2)
@@ -245,11 +259,12 @@ def bench_maxmin(flow_counts: List[int], repeats: int) -> List[Dict]:
         capacities = network.capacities
         timings = {}
         results = {}
-        for backend in ("scalar", "vectorized"):
+        sides = (("scalar", reference.weighted_max_min), ("vectorized", weighted_max_min))
+        for side, solve in sides:
             start = time.perf_counter()
             for _ in range(repeats):
-                results[backend] = weighted_max_min(weights, paths, capacities, backend=backend)
-            timings[backend] = time.perf_counter() - start
+                results[side] = solve(weights, paths, capacities)
+            timings[side] = time.perf_counter() - start
         compiled = CompiledMaxMin(paths, capacities)
         compiled.solve(weights)  # warm up
         start = time.perf_counter()
@@ -279,18 +294,18 @@ def bench_maxmin(flow_counts: List[int], repeats: int) -> List[Dict]:
 
 
 def bench_oracle(flow_counts: List[int], repeats: int) -> List[Dict]:
-    """Scalar vs vectorized ``solve_num`` on an all-log multi-bottleneck net."""
+    """Per-flow twin vs batched ``solve_num`` on an all-log multi-bottleneck net."""
     rows = []
     for n_flows in flow_counts:
         network = build_network(n_flows, seed=3, utilities="log")
         timings = {}
         results = {}
-        for backend in ("scalar", "vectorized"):
-            solve_num(network, backend=backend)  # warm up
+        for side, solve in (("scalar", reference.solve_num), ("vectorized", solve_num)):
+            solve(network)  # warm up
             start = time.perf_counter()
             for _ in range(repeats):
-                results[backend] = solve_num(network, backend=backend)
-            timings[backend] = time.perf_counter() - start
+                results[side] = solve(network)
+            timings[side] = time.perf_counter() - start
         rows.append(
             {
                 "flows": n_flows,
@@ -481,9 +496,9 @@ def bench_waterfill(flow_counts: List[int], repeats: int) -> List[Dict]:
 
         single_stats: Dict[str, int] = {}
         batched_stats: Dict[str, int] = {}
-        single = waterfill_arrays(
+        single = reference.waterfill_one_bottleneck(
             compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-            batch_ties=False, stats=single_stats,
+            stats=single_stats,
         )
         batched = waterfill_arrays(
             compiled.incidence, compiled.incidence_f, weight_vec, capacities,
@@ -498,9 +513,8 @@ def bench_waterfill(flow_counts: List[int], repeats: int) -> List[Dict]:
 
         start = time.perf_counter()
         for _ in range(repeats):
-            waterfill_arrays(
-                compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-                batch_ties=False,
+            reference.waterfill_one_bottleneck(
+                compiled.incidence, compiled.incidence_f, weight_vec, capacities
             )
         single_s = time.perf_counter() - start
         start = time.perf_counter()
@@ -536,13 +550,12 @@ def _flow_level_arrivals(n_flows: int, seed: int = 7) -> List:
     return generator.generate(max_flows=n_flows)
 
 
-def _time_flow_level(arrivals: List, backend: str):
+def _time_flow_level(arrivals: List, simulation_cls):
     network = FluidNetwork({"bottleneck": 10e9})
-    simulation = FlowLevelSimulation(
+    simulation = simulation_cls(
         network,
         lambda arrival: ("bottleneck",),
         EqualSharePolicy(10e9),
-        backend=backend,
     )
     start = time.perf_counter()
     completed = simulation.run(arrivals)
@@ -555,13 +568,13 @@ def bench_flow_level(flow_counts: List[int], dict_limit: Optional[int] = None) -
     ``dict_limit`` caps the sizes at which the dict reference loop runs:
     at 10k flows the dict side alone used to burn ~3 minutes of full-mode
     bench time while the bit-exact parity story is already covered by the
-    sampled sizes, so larger rows time only the array backend
+    sampled sizes, so larger rows time only the array loop
     (``dict_seconds`` / ``speedup`` / ``max_rel_fct_diff`` are null).
     """
     rows = []
     for n_flows in flow_counts:
         arrivals = _flow_level_arrivals(n_flows)
-        array_s, array_completed = _time_flow_level(arrivals, "array")
+        array_s, array_completed = _time_flow_level(arrivals, FlowLevelSimulation)
         if dict_limit is not None and n_flows > dict_limit:
             rows.append(
                 {
@@ -574,7 +587,7 @@ def bench_flow_level(flow_counts: List[int], dict_limit: Optional[int] = None) -
                 }
             )
             continue
-        dict_s, dict_completed = _time_flow_level(arrivals, "dict")
+        dict_s, dict_completed = _time_flow_level(arrivals, DictFlowLevelSimulation)
         max_diff = max(
             (
                 abs(d.fct - a.fct) / max(abs(d.fct), 1e-12)
@@ -839,7 +852,7 @@ def bench_engine(n_events: int, n_packets: int) -> Dict:
 
 
 def enforce_parity(results: Dict) -> None:
-    """Abort loudly if any vectorized backend drifted from its scalar twin."""
+    """Abort loudly if any product layer drifted from its reference twin."""
     failures = []
     for row in results["xwi"]:
         if row["max_rel_rate_diff"] > PARITY_TOLERANCE:

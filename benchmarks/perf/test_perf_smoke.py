@@ -5,8 +5,8 @@ runnable; the full (unmarked) benchmark run is a manual/periodic activity:
 
     PYTHONPATH=src python benchmarks/perf/run_bench.py
 
-Every vectorized backend (xWI, DGD, RCP*, DCTCP, compiled max-min) gets a
-smoke case, so tier-1 exercises each scalar/vectorized pair end to end and
+Every fluid layer (xWI, DGD, RCP*, DCTCP, compiled max-min) gets a smoke
+case, so tier-1 exercises each reference-twin/product pair end to end and
 the harness's own parity enforcement (``enforce_parity``) runs on every CI
 pass.  Deselect with ``-m "not perf_smoke"`` if even the ~1 s smoke run is
 too much.

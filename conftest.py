@@ -1,16 +1,20 @@
-"""Pytest bootstrap: make ``repro`` importable straight from the source tree.
+"""Pytest bootstrap: make ``repro`` and the test-side ``reference`` package
+importable straight from the source tree.
 
-This lets ``pytest tests/`` and ``pytest benchmarks/`` run even when the
-package has not been installed (useful in offline environments where
-``pip install -e .`` cannot fetch build dependencies).
+``src/`` lets ``pytest tests/`` and ``pytest benchmarks/`` run even when
+the package has not been installed (useful in offline environments where
+``pip install -e .`` cannot fetch build dependencies); ``tests/`` makes the
+per-flow reference twins (``tests/reference/``) importable as
+``reference`` from every test directory.
 """
 
 import os
 import sys
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.abspath(__file__))
+for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 
 def pytest_configure(config):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class P2Quantile:
@@ -155,8 +156,7 @@ class GKQuantiles:
     def add(self, value: float) -> None:
         value = float(value)
         entries = self._entries
-        keys = [e[0] for e in entries]
-        idx = bisect_right(keys, value)
+        idx = bisect_right(entries, value, key=itemgetter(0))
         if idx == 0 or idx == len(entries):
             delta = 0.0
         else:

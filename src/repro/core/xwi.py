@@ -9,9 +9,10 @@ weighted max-min transport (Swift):
 * **switches** track the minimum normalized residual seen on each link over
   a price-update interval and update the link price with Eqs. (9)-(11).
 
-These rules are shared verbatim by the fluid engine
-(:mod:`repro.fluid.xwi`) and the packet-level implementation
-(:mod:`repro.transports.numfabric`), so any fix or tuning applies to both.
+The packet-level implementation (:mod:`repro.transports.numfabric`) uses
+these rules directly; the fluid engine (:mod:`repro.fluid.xwi`) applies
+the same arithmetic to all links at once
+(:func:`repro.fluid.vectorized.price_update_arrays`).
 """
 
 from __future__ import annotations
@@ -96,21 +97,3 @@ class XwiLinkState:
         self.bytes_serviced = 0.0
         self.min_residual = math.inf
         return self.price
-
-
-def fluid_price_update(
-    price: float,
-    min_normalized_residual: float,
-    utilization: float,
-    params: NumFabricParameters,
-) -> float:
-    """Single xWI price update in fluid form (Eqs. (9)-(11)).
-
-    This is the same arithmetic as :meth:`XwiLinkState.update_price` but
-    stateless, for use by the iteration-level engine where utilization and
-    the minimum residual are computed analytically instead of measured from
-    packets.
-    """
-    residual = min_normalized_residual if math.isfinite(min_normalized_residual) else 0.0
-    new_price = max(price + residual - params.eta * (1.0 - utilization) * price, 0.0)
-    return params.beta * price + (1.0 - params.beta) * new_price

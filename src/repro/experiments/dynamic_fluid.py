@@ -21,20 +21,20 @@ once per control-loop update.  Flow completion times are therefore
 quantized to the step grid; completion-time accounting still uses the exact
 arrival time, so a flow's FCT includes the sub-step admission latency.
 
-Two interchangeable backends drive :class:`FlowLevelSimulation`:
-
-* ``backend="array"`` (default) -- remaining bytes / start times / sizes
-  live in NumPy arrays indexed by a compact flow-slot map; each step is one
-  vectorized delivered-bytes update and completions are detected with a
-  single comparison, with slots compacted per completion batch (never per
-  flow).  This is what lets Fig. 5 run the paper's 10k-flow workloads.
-* ``backend="dict"`` -- the original per-flow dict loop, kept as the parity
-  reference; ``tests/experiments/test_flow_level_parity.py`` pins the two
-  backends to identical completion records.
+Remaining bytes, start times and sizes of the active flows live in NumPy
+arrays indexed by a compact flow-slot map: each step is one vectorized
+delivered-bytes update and completions are detected with a single
+comparison, with slots compacted per completion batch (never per flow).
+This is what lets Fig. 5 run the paper's 10k-flow workloads.  The
+original per-flow dict loop is kept with the tests
+(``tests/reference/flow_level.py``);
+``tests/experiments/test_flow_level_parity.py`` pins the two to identical
+completion records.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -43,10 +43,12 @@ import numpy as np
 from repro.core.utility import LogUtility, Utility
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.oracle import PersistentDualSolver, estimate_price_scale, solve_num
+from repro.fluid.oracle import PersistentDualSolver
 from repro.fluid.rcp import RcpStarFluidSimulator
 from repro.fluid.xwi import XwiFluidSimulator
 from repro.workloads.poisson import FlowArrival
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
@@ -90,7 +92,7 @@ class RatePolicy:
     def rates_epoch(self) -> Optional[int]:
         """Monotonic counter identifying the current allocation, or ``None``.
 
-        The array backend gathers the policy's rate dict into a vector once
+        The flow loop gathers the policy's rate dict into a vector once
         per allocation *epoch* instead of once per step.  A policy that can
         tell when its allocation changed returns a counter it bumps on every
         change; the default ``None`` opts out of caching (always correct,
@@ -131,15 +133,12 @@ class EqualSharePolicy(RatePolicy):
 class OracleRatePolicy(RatePolicy):
     """Instantaneously optimal rates, recomputed on every flow-set change.
 
-    Tuned for the dynamic experiments' solve-per-change pattern.  The
-    default ``solver="persistent"`` drives a
-    :class:`~repro.fluid.oracle.PersistentDualSolver`, which keeps prices,
+    Tuned for the dynamic experiments' solve-per-change pattern: a
+    :class:`~repro.fluid.oracle.PersistentDualSolver` keeps prices,
     curvature, conditioning *and* the compiled incidence alive across
     flow-set changes (the incidence is patched incrementally from the
     network's churn journal) -- no scipy per-call setup, no per-event
-    recompiles.  ``solver="scipy"`` keeps the previous behaviour (per-call
-    L-BFGS-B with warm-started prices and cached conditioning), the parity
-    reference:
+    recompiles:
 
     * prices from the previous solve warm-start the next one (the flow set
       changes by a handful of flows per step, so the dual moves little);
@@ -152,39 +151,28 @@ class OracleRatePolicy(RatePolicy):
       ``safeguard=True`` when using steep utilities (e.g. FCT with a small
       epsilon).
 
-    ``warm_start`` applies to the scipy solver only: the persistent solver
-    warm-starts by construction (that is its point).
+    A solve that does not converge is still used (it is the best
+    allocation at hand), but never silently: :attr:`nonconverged` counts
+    such solves and each one logs a warning.
     """
 
     def __init__(
         self,
-        backend: str = "vectorized",
-        warm_start: bool = True,
         scale_refresh_interval: int = 32,
         safeguard: bool = False,
         tolerance: float = 1e-9,
-        solver: str = "persistent",
     ):
-        if solver not in ("persistent", "scipy"):
-            raise ValueError(f"unknown oracle policy solver {solver!r}")
-        if solver == "persistent" and backend != "vectorized":
-            raise ValueError('solver="persistent" requires backend="vectorized"')
-        self.backend = backend
-        self.warm_start = warm_start
         self.scale_refresh_interval = scale_refresh_interval
         self.safeguard = safeguard
         self.tolerance = tolerance
-        self.solver = solver
+        #: Number of solves that stopped without converging.
+        self.nonconverged = 0
         self._persistent: Optional[PersistentDualSolver] = None
         self._cached: Optional[Dict[object, float]] = None
-        self._prices: Optional[Dict[object, float]] = None
-        self._scale: Optional[Dict[object, float]] = None
-        self._changes_since_scale = 0
         self._epoch = 0
 
     def on_flow_set_changed(self, network: FluidNetwork) -> None:
         self._cached = None
-        self._changes_since_scale += 1
         self._epoch += 1
 
     def rates(self, network: FluidNetwork, dt: float) -> Dict[object, float]:
@@ -192,27 +180,20 @@ class OracleRatePolicy(RatePolicy):
             if not network.flows:
                 self._cached = {}
                 return self._cached
-            if self.solver == "persistent":
-                if self._persistent is None:
-                    self._persistent = PersistentDualSolver(
-                        tolerance=self.tolerance,
-                        scale_refresh_interval=self.scale_refresh_interval,
-                        safeguard=self.safeguard,
-                    )
-                result = self._persistent.solve(network)
-            else:
-                if self._scale is None or self._changes_since_scale >= self.scale_refresh_interval:
-                    self._scale = estimate_price_scale(network, backend=self.backend)
-                    self._changes_since_scale = 0
-                result = solve_num(
-                    network,
+            if self._persistent is None:
+                self._persistent = PersistentDualSolver(
                     tolerance=self.tolerance,
-                    initial_prices=self._prices if self.warm_start else None,
-                    backend=self.backend,
-                    price_scale=self._scale,
+                    scale_refresh_interval=self.scale_refresh_interval,
                     safeguard=self.safeguard,
                 )
-                self._prices = result.prices
+            result = self._persistent.solve(network)
+            if not result.converged:
+                self.nonconverged += 1
+                logger.warning(
+                    "Oracle solve did not converge after %d iterations "
+                    "(%d flows); using its allocation",
+                    result.iterations, len(result.rates),
+                )
             self._cached = result.rates
         return self._cached
 
@@ -228,11 +209,10 @@ class SimulatorRatePolicy(RatePolicy):
     schemes with slower convergence deliver fewer bytes to short flows --
     exactly the effect Fig. 5 measures.
 
-    For large dynamic workloads use :func:`scheme_rate_policy`, which builds
-    the simulator on the vectorized fluid backend (now available for xWI,
-    DGD and RCP* alike): the compiled incidence structure is invalidated
-    only on flow arrivals/departures, so the per-iteration cost between
-    flow-set changes is pure array math.
+    :func:`scheme_rate_policy` builds one for a named scheme (xWI, DGD or
+    RCP*): the compiled incidence structure is invalidated only on flow
+    arrivals/departures, so the per-iteration cost between flow-set
+    changes is pure array math.
     """
 
     def __init__(self, simulator_factory: Callable[[FluidNetwork], object]):
@@ -284,15 +264,9 @@ SCHEME_SIMULATORS: Dict[str, Callable] = {
 }
 
 
-def scheme_rate_policy(
-    scheme: str, backend: str = "vectorized", params=None
-) -> SimulatorRatePolicy:
-    """A :class:`SimulatorRatePolicy` for a named scheme on a given backend.
-
-    ``backend`` defaults to the vectorized fluid engine (every scheme's
-    allocations match its scalar reference within 1e-9); pass
-    ``backend="scalar"`` for the reference implementation.
-    """
+def scheme_rate_policy(scheme: str, params=None) -> SimulatorRatePolicy:
+    """A :class:`SimulatorRatePolicy` for a named scheme (``params`` are its
+    parameter dataclass, or None for the Table 2 defaults)."""
     try:
         simulator_cls = SCHEME_SIMULATORS[scheme]
     except KeyError:
@@ -303,7 +277,7 @@ def scheme_rate_policy(
     # price/queue/weight dict builds (record_detail=False) -- measurable at
     # the dynamic experiments' paper scale.
     return SimulatorRatePolicy(
-        lambda network: simulator_cls(network, params=params, backend=backend, record_detail=False)
+        lambda network: simulator_cls(network, params=params, record_detail=False)
     )
 
 
@@ -362,11 +336,8 @@ class FlowLevelSimulation:
         rate_policy: RatePolicy,
         step_interval: float = 30e-6,
         utility_for_arrival: Optional[Callable[[FlowArrival], Utility]] = None,
-        backend: str = "array",
         fault_injector=None,
     ):
-        if backend not in ("array", "dict"):
-            raise ValueError(f"unknown flow-level backend {backend!r}")
         self.network = network
         self.path_for_arrival = path_for_arrival
         self.rate_policy = rate_policy
@@ -379,7 +350,6 @@ class FlowLevelSimulation:
             rate_policy, "on_capacity_changed", rate_policy.on_flow_set_changed
         )
         self.utility_for_arrival = utility_for_arrival or (lambda arrival: LogUtility())
-        self.backend = backend
         #: Optional completion sink called once per finished flow (streaming
         #: telemetry).  With ``keep_completions=False`` the per-flow record
         #: is *not* appended to :attr:`completed` -- memory stays bounded.
@@ -389,12 +359,8 @@ class FlowLevelSimulation:
         #: resumes from here; checkpointed alongside the slot arrays).
         self._time = 0.0
         self.completed: List[CompletedFlow] = []
-        # dict-backend state (the parity reference).
-        self._remaining_bytes: Dict[int, float] = {}
-        self._start_times: Dict[int, float] = {}
-        self._sizes: Dict[int, int] = {}
-        # array-backend state: one compact slot per active flow, in admission
-        # order; the arrays are over-allocated and compacted in batches.
+        # One compact slot per active flow, in admission order; the arrays
+        # are over-allocated and compacted in batches.
         self._slots: List[int] = []
         self._count = 0
         self._remaining = np.empty(0, dtype=float)
@@ -413,8 +379,6 @@ class FlowLevelSimulation:
     @property
     def active_flow_count(self) -> int:
         """Number of admitted flows that have not yet completed."""
-        if self.backend == "dict":
-            return len(self._remaining_bytes)
         return self._count
 
     def run(
@@ -423,13 +387,10 @@ class FlowLevelSimulation:
         """Process all arrivals and run until every admitted flow completes.
 
         ``max_time`` truncates the simulation: flows still in flight at the
-        horizon never complete (and stay in the network).  The array backend
-        runs the sorted list through :meth:`run_stream`, its one stepping
-        loop.
+        horizon never complete (and stay in the network).  The sorted list
+        runs through :meth:`run_stream`, the one stepping loop.
         """
         pending = sorted(arrivals, key=lambda a: a.time)
-        if self.backend == "dict":
-            return self._run_dict(pending, max_time)
         self.run_stream(ArrivalStream(pending), max_time)
         return self.completed
 
@@ -505,66 +466,7 @@ class FlowLevelSimulation:
         )
         self._rates_epoch = getattr(self.rate_policy, "rates_epoch", lambda: None)
 
-    # -- dict backend (parity reference) ----------------------------------
-
-    def _run_dict(
-        self, pending: List[FlowArrival], max_time: Optional[float]
-    ) -> List[CompletedFlow]:
-        time = 0.0
-        index = 0
-        horizon = max_time if max_time is not None else float("inf")
-
-        while time < horizon and (index < len(pending) or self._remaining_bytes):
-            self._inject_faults(time)
-            # Admit every flow that has arrived by now.
-            changed = False
-            while index < len(pending) and pending[index].time <= time:
-                arrival = pending[index]
-                self._admit(arrival)
-                self._remaining_bytes[arrival.flow_id] = float(arrival.size_bytes)
-                self._start_times[arrival.flow_id] = arrival.time
-                self._sizes[arrival.flow_id] = arrival.size_bytes
-                index += 1
-                changed = True
-            if changed:
-                self.rate_policy.on_flow_set_changed(self.network)
-
-            if not self._remaining_bytes:
-                # Jump to the next arrival.
-                if index < len(pending):
-                    time = pending[index].time
-                    continue
-                break
-
-            dt = self.step_interval
-            rates = self.rate_policy.rates(self.network, dt)
-            finished: List[int] = []
-            for flow_id, remaining in self._remaining_bytes.items():
-                rate = rates.get(flow_id, 0.0)
-                delivered = rate * dt / 8.0
-                new_remaining = remaining - delivered
-                if new_remaining <= 0.0:
-                    finished.append(flow_id)
-                else:
-                    self._remaining_bytes[flow_id] = new_remaining
-            time += dt
-            if finished:
-                for flow_id in finished:
-                    self._emit(
-                        CompletedFlow(
-                            flow_id=flow_id,
-                            size_bytes=self._sizes[flow_id],
-                            start_time=self._start_times[flow_id],
-                            finish_time=time,
-                        )
-                    )
-                    del self._remaining_bytes[flow_id]
-                    self.network.remove_flow(flow_id)
-                self.rate_policy.on_flow_set_changed(self.network)
-
-        return self.completed
-
-    # -- array backend -----------------------------------------------------
+    # -- slot arrays -------------------------------------------------------
 
     def _grow(self, extra: int) -> None:
         needed = self._count + extra
@@ -627,9 +529,9 @@ class FlowLevelSimulation:
         one at a time from ``stream`` (which must be time-sorted -- see
         :class:`ArrivalStream`), completions are routed through
         :attr:`on_complete`, and with ``keep_completions=False`` nothing is
-        accumulated per flow.  :meth:`run` on the array backend is this loop
-        over the sorted list, so an all-list run and a streamed run of the
-        same schedule produce bit-identical completion records.
+        accumulated per flow.  :meth:`run` is this loop over the sorted
+        list, so an all-list run and a streamed run of the same schedule
+        produce bit-identical completion records.
 
         ``stop_at`` pauses the loop at the first step boundary at or after
         that simulated time and returns ``False`` (resume by calling again
@@ -638,11 +540,6 @@ class FlowLevelSimulation:
         was reached or every admitted flow completed and the stream is
         exhausted.
         """
-        if self.backend != "array":
-            raise ValueError(
-                'run_stream requires backend="array" (the dict backend is the '
-                "materializing parity reference)"
-            )
         horizon = max_time if max_time is not None else float("inf")
         limit = stop_at if stop_at is not None else float("inf")
         dt = self.step_interval
@@ -672,7 +569,7 @@ class FlowLevelSimulation:
             rates = self.rate_policy.rates(self.network, dt)
             rate_vec = self._gather_rates(rates)
             remaining = self._remaining[: self._count]
-            # Identical per-element arithmetic to the dict backend:
+            # Identical per-element arithmetic to the per-flow dict loop:
             # ``remaining - rate * dt / 8.0`` with the same operation order.
             remaining -= rate_vec * dt / 8.0
             time += dt

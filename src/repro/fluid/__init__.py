@@ -14,7 +14,6 @@ from repro.fluid.vectorized import (
     VectorizedUtilities,
     compile_max_min,
     compile_network,
-    weighted_max_min_vectorized,
 )
 from repro.fluid.oracle import (
     PersistentDualSolver,
@@ -33,7 +32,6 @@ __all__ = [
     "FluidNetwork",
     "FlowGroup",
     "weighted_max_min",
-    "weighted_max_min_vectorized",
     "CompiledFluidNetwork",
     "CompiledMaxMin",
     "VectorizedUtilities",

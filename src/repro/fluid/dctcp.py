@@ -6,19 +6,14 @@ allocation, unlike NUMFabric.  We model the standard DCTCP window dynamics
 per RTT -- additive increase, ECN-fraction-proportional decrease -- over the
 shared fluid topology, which reproduces the characteristic sawtooth.
 
-Two interchangeable backends drive the iteration:
-
-* ``backend="scalar"`` (default) -- the reference implementation, plain
-  Python over dicts;
-* ``backend="vectorized"`` -- windows, ECN fractions and queues as arrays
-  over the compiled incidence structure of :mod:`repro.fluid.vectorized`.
-  The per-flow state arrays persist across iterations and are realigned
-  with the flow set only on churn (the ``_on_recompile`` hook); the
-  ``windows`` and ``ecn_fraction`` dicts are lazily-materialized views of
-  the array state, exact on every read.  Rates, windows and
-  queues match the scalar backend to well within the 1e-9 enforced by
-  ``tests/fluid/test_scheme_backend_parity.py``; see ``BENCH_fluid.json``
-  for the measured speedup.
+Windows, ECN fractions and queues are arrays over the compiled incidence
+structure of :mod:`repro.fluid.vectorized`.  The per-flow state arrays
+persist across iterations and are realigned with the flow set only on
+churn (the ``_on_recompile`` hook); the ``windows`` and ``ecn_fraction``
+dicts are lazily-materialized views of the array state, exact on every
+read.  The per-flow dict formulation is kept with the tests
+(``tests/reference/schemes.py``); rates, windows and queues match it to
+well within the 1e-9 enforced by ``tests/fluid/test_scheme_backend_parity.py``.
 """
 
 from __future__ import annotations
@@ -55,18 +50,16 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         self,
         network: FluidNetwork,
         params: Optional[DctcpFluidParameters] = None,
-        backend: str = "scalar",
     ):
         self.network = network
         self.params = params or DctcpFluidParameters()
-        self.backend = self._check_backend(backend, "DCTCP")
         self._windows_dict: Dict[FlowId, float] = {}
         self._windows_dirty = False
         self._ecn_dict: Dict[FlowId, float] = {}
         self._ecn_dirty = False
-        # Set when the dict views are assigned from outside: the vectorized
-        # step then rebuilds its arrays from the dicts, so external writes
-        # take effect immediately on either backend.
+        # Set when the dict views are assigned from outside: the next step
+        # then rebuilds its arrays from the dicts, so external writes take
+        # effect immediately.
         self._flow_state_stale = False
         self.queues: Dict[LinkId, float] = {link: 0.0 for link in network.links}
         self.iteration = 0
@@ -76,18 +69,17 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         self._ecn_vec: Optional[np.ndarray] = None
         self._state_flow_ids: List[FlowId] = []
 
-    # The vectorized backend keeps windows and ECN fractions as arrays and
-    # only marks the dict views stale each step; the dicts are rebuilt on
-    # first read, so casual external reads stay exact without paying a
-    # per-iteration O(flows) sync.  Every read (and every assignment) also
-    # marks the *arrays* stale: the caller may mutate the dict it was
-    # handed, so the next vectorized step re-reads the dicts -- external
-    # writes behave identically on both backends, and steps that nobody
-    # observed in between pay nothing.
+    # Windows and ECN fractions live in arrays; each step only marks the
+    # dict views stale, and the dicts are rebuilt on first read, so casual
+    # external reads stay exact without paying a per-iteration O(flows)
+    # sync.  Every read (and every assignment) also marks the *arrays*
+    # stale: the caller may mutate the dict it was handed, so the next step
+    # re-reads the dicts -- external writes take effect, and steps that
+    # nobody observed in between pay nothing.
 
     @property
     def windows(self) -> Dict[FlowId, float]:
-        """Per-flow congestion windows (a live, writable view on any backend)."""
+        """Per-flow congestion windows (a live, writable view)."""
         if self._windows_dirty:
             self._windows_dict = dict(zip(self._state_flow_ids, self._windows_vec.tolist()))
             self._windows_dirty = False
@@ -102,7 +94,7 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
 
     @property
     def ecn_fraction(self) -> Dict[FlowId, float]:
-        """Per-flow ECN EWMA state (a live, writable view on any backend)."""
+        """Per-flow ECN EWMA state (a live, writable view)."""
         if self._ecn_dirty:
             self._ecn_dict = dict(zip(self._state_flow_ids, self._ecn_vec.tolist()))
             self._ecn_dirty = False
@@ -119,22 +111,11 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         bdp_bits = self.network.path_capacity(flow_id) * self.params.rtt
         return max(bdp_bits * self.params.initial_window_fraction, self.params.mtu_bits)
 
-    def _ensure_flow_state(self) -> None:
-        for flow in self.network.flows:
-            if flow.flow_id not in self.windows:
-                self.windows[flow.flow_id] = self._initial_window(flow.flow_id)
-                self.ecn_fraction[flow.flow_id] = 0.0
-        active = {flow.flow_id for flow in self.network.flows}
-        for flow_id in list(self.windows):
-            if flow_id not in active:
-                del self.windows[flow_id]
-                del self.ecn_fraction[flow_id]
-
     def _on_recompile(self, compiled: CompiledFluidNetwork) -> None:
         """Realign the window/ECN arrays with the recompiled flow order.
 
         Surviving flows keep their state, newcomers start at the initial
-        window (same rule as :meth:`_ensure_flow_state`), departed flows are
+        window, departed flows are
         dropped from the dicts -- churn-time work, not per-iteration work.
         """
         # Property reads flush any lazily-synced array state first.
@@ -152,13 +133,12 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         self.ecn_fraction = dict(zip(compiled.flow_ids, ecn))
         self._flow_state_stale = False  # arrays and dicts now agree
 
-    def _step_vectorized(self) -> DctcpIterationRecord:
-        """One RTT of the window dynamics as array operations."""
+    def step(self) -> DctcpIterationRecord:
+        """Advance the model by one RTT, as array operations."""
         compiled = self._ensure_compiled()
         if self._flow_state_stale:
             # windows / ecn_fraction were assigned from outside since the
-            # last step; rebuild the arrays so the write is honored now,
-            # exactly as the scalar backend would.
+            # last step; rebuild the arrays so the write is honored now.
             self._on_recompile(compiled)
         params = self.params
         capacities = compiled.capacities_vector()
@@ -177,8 +157,8 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         else:
             marked_flows = np.zeros(len(compiled.flow_ids), dtype=bool)
 
-        # Window update: EWMA the observed marking fraction first (as the
-        # scalar loop does), then multiplicative decrease on marked flows,
+        # Window update: EWMA the observed marking fraction first, then
+        # multiplicative decrease on marked flows,
         # additive increase on the rest, floored at one MTU.
         ecn = self._ecn_vec
         ecn += params.gain * (marked_flows.astype(float) - ecn)
@@ -201,53 +181,6 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
             iteration=self.iteration,
             rates=dict(zip(compiled.flow_ids, delivered.tolist())),
             queues=dict(self.queues),
-        )
-        self.iteration += 1
-        return record
-
-    def step(self) -> DctcpIterationRecord:
-        """Advance the model by one RTT."""
-        if self.backend == "vectorized":
-            return self._step_vectorized()
-        self._ensure_flow_state()
-        params = self.params
-        capacities = self.network.capacities
-        rates = {
-            flow.flow_id: self.windows[flow.flow_id] / params.rtt for flow in self.network.flows
-        }
-        load = self.network.link_load(rates)
-
-        marked_links = set()
-        for link, capacity in capacities.items():
-            # Queue in "bits": integrate over-subscription during the RTT.
-            self.queues[link] = max(
-                self.queues[link] + (load[link] - capacity) * params.rtt, 0.0
-            )
-            marking_threshold = capacity * params.rtt * params.marking_threshold_fraction
-            if self.queues[link] > marking_threshold:
-                marked_links.add(link)
-
-        for flow in self.network.flows:
-            flow_id = flow.flow_id
-            marked = any(link in marked_links for link in flow.path)
-            observed_fraction = 1.0 if marked else 0.0
-            self.ecn_fraction[flow_id] += params.gain * (
-                observed_fraction - self.ecn_fraction[flow_id]
-            )
-            if marked:
-                self.windows[flow_id] *= 1.0 - self.ecn_fraction[flow_id] / 2.0
-            else:
-                self.windows[flow_id] += params.mtu_bits
-            self.windows[flow_id] = max(self.windows[flow_id], params.mtu_bits)
-
-        # Delivered rates (see the vectorized step): offered load drives the
-        # queues, but no flow delivers past its narrowest link.
-        delivered = {
-            flow_id: min(rate, self.network.path_capacity(flow_id))
-            for flow_id, rate in rates.items()
-        }
-        record = DctcpIterationRecord(
-            iteration=self.iteration, rates=delivered, queues=dict(self.queues)
         )
         self.iteration += 1
         return record

@@ -13,16 +13,12 @@ link speeds; Table 2's absolute values correspond to this normalized form at
 bandwidth-delay products, which in fluid form caps the sending rate at that
 multiple of the path capacity.
 
-Two interchangeable backends drive the iteration:
-
-* ``backend="scalar"`` (default) -- the reference implementation, plain
-  Python over dicts;
-* ``backend="vectorized"`` -- the rate computation (Eq. (3)) and the
-  price/queue update (Eq. (14)) as NumPy array operations over the compiled
-  incidence structure of :mod:`repro.fluid.vectorized`, recompiled only on
-  flow churn.  Rates, prices and queues match the scalar backend to well
-  within the 1e-9 enforced by ``tests/fluid/test_scheme_backend_parity.py``;
-  see ``BENCH_fluid.json`` for the measured speedup.
+The rate computation (Eq. (3)) and the price/queue update (Eq. (14)) run
+as NumPy array operations over the compiled incidence structure of
+:mod:`repro.fluid.vectorized`, recompiled only on flow churn.  The
+per-flow dict formulation is kept with the tests
+(``tests/reference/schemes.py``); rates, prices and queues match it to
+well within the 1e-9 enforced by ``tests/fluid/test_scheme_backend_parity.py``.
 """
 
 from __future__ import annotations
@@ -63,12 +59,10 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         network: FluidNetwork,
         params: Optional[DgdFluidParameters] = None,
         initial_price: float = 1e-3,
-        backend: str = "scalar",
         record_detail: bool = True,
     ):
         self.network = network
         self.params = params or DgdFluidParameters()
-        self.backend = self._check_backend(backend, "DGD")
         #: When false, records carry only the rates (see xWI's twin flag).
         self.record_detail = record_detail
         self.prices: Dict[LinkId, float] = {link: initial_price for link in network.links}
@@ -77,32 +71,16 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         self.history: List[DgdIterationRecord] = []
         self._compiled: Optional[CompiledFluidNetwork] = None
 
-    def _path_price(self, path) -> float:
-        return sum(self.prices.get(link, 0.0) for link in path)
-
-    def _flow_rates(self) -> Dict[FlowId, float]:
-        rates: Dict[FlowId, float] = {}
-        for flow in self.network.flows:
-            price = self._path_price(flow.path)
-            cap = self.network.path_capacity(flow.flow_id)
-            limit = self.params.max_outstanding_bdp * cap
-            if price <= 0.0:
-                rate = limit
-            else:
-                rate = min(flow.utility.inverse_marginal(price), limit)
-            rates[flow.flow_id] = max(rate, 0.0)
-        return rates
-
-    def _step_vectorized(self) -> DgdIterationRecord:
-        """One DGD interval as array operations over the compiled network."""
+    def step(self) -> DgdIterationRecord:
+        """One price-update interval of DGD, as array operations."""
         compiled = self._ensure_compiled()
         capacities = compiled.capacities_vector()
         prices = self._link_vector(self.prices)
 
         # Host side, Eq. (3): each flow inverts its marginal utility at the
         # path price, capped at ``max_outstanding_bdp`` path capacities --
-        # ``inverse_marginal_clipped`` applies exactly the scalar branch
-        # (non-positive price -> the window limit).  Flows whose utility is
+        # ``inverse_marginal_clipped`` maps a non-positive price to the
+        # window limit.  Flows whose utility is
         # batched per family run as array math; group members (excluded from
         # the batch, DGD ignores grouping) fall back to their own utility.
         path_prices = compiled.path_prices(prices)
@@ -121,7 +99,7 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         dt = self.params.update_interval
         # A failed (zero-capacity) link carries no traffic -- flows crossing
         # it are window-limited to zero path capacity -- so its mismatch is
-        # defined as zero instead of 0/0 (same guard as the scalar branch).
+        # defined as zero instead of 0/0.
         live = capacities > 0.0
         excess = np.zeros_like(capacities)
         np.divide(compiled.link_load(rate_vec) - capacities, capacities,
@@ -137,40 +115,6 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         record = DgdIterationRecord(
             iteration=self.iteration,
             rates=dict(zip(compiled.flow_ids, rate_vec.tolist())),
-            prices=dict(self.prices) if self.record_detail else {},
-            queues=dict(self.queues) if self.record_detail else {},
-        )
-        self.iteration += 1
-        return record
-
-    def step(self) -> DgdIterationRecord:
-        """One price-update interval of DGD."""
-        if self.backend == "vectorized":
-            return self._step_vectorized()
-        capacities = self.network.capacities
-        rates = self._flow_rates()
-        load = self.network.link_load(rates)
-        dt = self.params.update_interval
-        for link, capacity in capacities.items():
-            # Queue backlog (in "capacity-seconds", i.e. normalized bytes):
-            # integrates the over-subscription, drains when under-subscribed.
-            # A failed (zero-capacity) link carries no traffic, so its
-            # mismatch is zero by definition rather than 0/0.
-            excess = (load[link] - capacity) / capacity if capacity > 0.0 else 0.0
-            self.queues[link] = max(self.queues[link] + excess * dt, 0.0)
-            queue_in_bdp = self.queues[link] / self.params.rtt
-            # Scale the additive update by the typical price magnitude so the
-            # normalized gains behave consistently across utility functions.
-            price_scale = max(self.prices[link], 1e-12)
-            delta = (
-                self.params.utilization_gain * excess
-                + self.params.queue_gain * queue_in_bdp
-            )
-            self.prices[link] = max(self.prices[link] + delta * price_scale, 1e-15)
-
-        record = DgdIterationRecord(
-            iteration=self.iteration,
-            rates=dict(rates),
             prices=dict(self.prices) if self.record_detail else {},
             queues=dict(self.queues) if self.record_detail else {},
         )

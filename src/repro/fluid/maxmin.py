@@ -4,12 +4,17 @@ Swift (WFQ scheduling at switches + packet-pair rate control at hosts)
 drives the network to the *weighted max-min* rate allocation for the
 current set of flow weights.  The fluid engine computes that fixed point
 directly with the classical progressive-filling / bottleneck-freezing
-algorithm (Bertsekas & Gallager).
+algorithm (Bertsekas & Gallager), as array water-filling over a compiled
+incidence matrix (:mod:`repro.fluid.vectorized`).  The per-flow dict
+formulation is kept with the tests (``tests/reference/maxmin.py``) and
+agrees to 1e-9 (``tests/fluid/test_vectorized_parity.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence
+
+from repro.fluid.vectorized import CompiledMaxMin
 
 LinkId = Hashable
 FlowId = Hashable
@@ -41,7 +46,6 @@ def weighted_max_min(
     weights: Mapping[FlowId, float],
     paths: Mapping[FlowId, Sequence[LinkId]],
     capacities: Mapping[LinkId, float],
-    backend: str = "scalar",
 ) -> Dict[FlowId, float]:
     """Compute the network-wide weighted max-min fair allocation.
 
@@ -54,75 +58,21 @@ def weighted_max_min(
         Sequence of links traversed by each flow.
     capacities:
         Capacity of every link (same units as the returned rates).
-    backend:
-        ``"scalar"`` (the reference implementation below) or
-        ``"vectorized"`` (NumPy water-filling from
-        :mod:`repro.fluid.vectorized`; same allocation, one to two orders of
-        magnitude faster on large flow populations).  For *repeated* solves
-        on a static topology, compile the instance once with
-        :class:`repro.fluid.vectorized.CompiledMaxMin` instead: it keeps the
-        incidence matrix across calls, so each solve skips the dict-to-array
-        rebuild that dominates one-shot vectorized calls.
 
     Returns
     -------
     Dict mapping flow id to its weighted max-min rate.
 
-    The algorithm repeatedly finds the bottleneck link -- the one whose
-    remaining capacity divided by the total weight of its still-unfrozen
-    flows is smallest -- and freezes those flows at ``weight * fair_share``.
-    Complexity is O(#links * #flows) per freezing round and there are at
-    most ``#links`` rounds.
+    Progressive filling freezes every flow on the bottleneck link -- the
+    one whose remaining capacity divided by the total weight of its
+    still-unfrozen flows is smallest -- at ``weight * fair_share``, batching
+    independent bottlenecks into one round
+    (:func:`repro.fluid.vectorized.waterfill_arrays`).  This is a
+    compile-and-solve: for *repeated* solves on a static topology, compile
+    the instance once with :class:`repro.fluid.vectorized.CompiledMaxMin`
+    and skip the dict-to-array rebuild per call.
     """
-    if backend == "vectorized":
-        from repro.fluid.vectorized import weighted_max_min_vectorized
-
-        return weighted_max_min_vectorized(weights, paths, capacities)
-    if backend != "scalar":
-        raise ValueError(f"unknown max-min backend {backend!r}")
-    flow_ids = _validate_instance(weights, paths, capacities)
-
-    rates: Dict[FlowId, float] = {}
-    if not flow_ids:
-        return rates
-
-    remaining = {link: float(capacities[link]) for link in capacities}
-    # Only links actually carrying flows participate.
-    link_to_flows: Dict[LinkId, List[FlowId]] = {}
-    for flow_id in flow_ids:
-        for link in paths[flow_id]:
-            link_to_flows.setdefault(link, []).append(flow_id)
-
-    unfrozen = set(flow_ids)
-    active_links = set(link_to_flows)
-
-    while unfrozen:
-        bottleneck: Tuple[float, LinkId] = (float("inf"), None)
-        for link in active_links:
-            flows_here = [f for f in link_to_flows[link] if f in unfrozen]
-            if not flows_here:
-                continue
-            total_weight = sum(weights[f] for f in flows_here)
-            fair_share = remaining[link] / total_weight
-            if fair_share < bottleneck[0]:
-                bottleneck = (fair_share, link)
-        fair_share, link = bottleneck
-        if link is None:
-            # Remaining flows only cross links with no capacity pressure left
-            # (can happen with zero-remaining links fully consumed); give zero.
-            for flow_id in unfrozen:
-                rates[flow_id] = 0.0
-            break
-        newly_frozen = [f for f in link_to_flows[link] if f in unfrozen]
-        for flow_id in newly_frozen:
-            rate = weights[flow_id] * fair_share
-            rates[flow_id] = rate
-            for hop in paths[flow_id]:
-                remaining[hop] = max(remaining[hop] - rate, 0.0)
-            unfrozen.discard(flow_id)
-        active_links.discard(link)
-
-    return rates
+    return CompiledMaxMin(paths, capacities).solve(weights)
 
 
 def max_min(

@@ -14,18 +14,14 @@ judged.  We implement two solvers:
   the primal directly with SLSQP (suitable for the evaluation's scale of a
   few hundred sub-flows).
 
-:func:`solve_num` has two interchangeable backends, mirroring the fluid
-simulators:
-
-* ``backend="vectorized"`` (default) -- the dual objective/gradient are
-  batched array expressions over the compiled link x flow incidence of
-  :mod:`repro.fluid.vectorized`, so each L-BFGS-B evaluation is a handful
-  of matrix products instead of a Python loop per flow.  This is what makes
-  the per-flow-set-change Oracle of the dynamic experiments (Fig. 5)
-  tractable at the paper's 10k-flow scale.
-* ``backend="scalar"`` -- the original per-flow reference implementation,
-  kept as the parity baseline (``tests/fluid/test_oracle.py`` pins the two
-  backends together on a grid of topologies and utility families).
+:func:`solve_num` evaluates the dual objective/gradient as batched array
+expressions over the compiled link x flow incidence of
+:mod:`repro.fluid.vectorized`, so each L-BFGS-B evaluation is a handful of
+matrix products instead of a Python loop per flow.  This is what makes the
+per-flow-set-change Oracle of the dynamic experiments (Fig. 5) tractable at
+the paper's 10k-flow scale.  The per-flow loop formulation is kept with
+the tests (``tests/reference/oracle.py``); ``tests/fluid/test_oracle.py``
+pins the two together on a grid of topologies and utility families.
 
 For repeated solves on a churning flow set (the dynamic Oracle), pass
 ``initial_prices`` (warm start) and a cached ``price_scale`` from
@@ -70,18 +66,7 @@ class OracleResult:
     converged: bool
 
 
-def _path_price(prices: np.ndarray, link_index: Mapping[LinkId, int], path) -> float:
-    # Links excluded from the dual (no flows, or failed with zero capacity)
-    # contribute a price of zero.
-    total = 0.0
-    for link in path:
-        index = link_index.get(link)
-        if index is not None:
-            total += prices[index]
-    return float(total)
-
-
-def estimate_price_scale(network: FluidNetwork, backend: str = "vectorized") -> Dict[LinkId, float]:
+def estimate_price_scale(network: FluidNetwork) -> Dict[LinkId, float]:
     """Per-link price scale: median marginal utility at an equal split.
 
     Optimal prices differ by many orders of magnitude across utility
@@ -97,18 +82,6 @@ def estimate_price_scale(network: FluidNetwork, backend: str = "vectorized") -> 
     can cache it across flow-set changes instead of recomputing it per solve.
     Single-path flows only (multipath groups are rejected by the callers).
     """
-    if backend == "scalar":
-        scales: Dict[LinkId, float] = {}
-        for link in network.links:
-            flows_here = network.flows_on_link(link)
-            if not flows_here or network.capacity(link) <= 0.0:
-                continue
-            share = network.capacity(link) / len(flows_here)
-            marginals = sorted(flow.utility.marginal(share) for flow in flows_here)
-            scales[link] = max(marginals[len(marginals) // 2], 1e-300)
-        return scales
-    if backend != "vectorized":
-        raise ValueError(f"unknown oracle backend {backend!r}")
     compiled = compile_network(network)
     active_idx, medians = _scale_medians(compiled)
     return {
@@ -121,8 +94,8 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
     """Per-link price-scale medians on an already-compiled network.
 
     Returns ``(active link indices, median marginal at an equal share)`` in
-    compiled link order -- the array core of the vectorized
-    :func:`estimate_price_scale`, shared with :class:`PersistentDualSolver`
+    compiled link order -- the array core of :func:`estimate_price_scale`,
+    shared with :class:`PersistentDualSolver`
     so the persistent path never recompiles just to refresh conditioning.
     """
     incidence = compiled.incidence
@@ -136,7 +109,7 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
     shares = np.where(active, capacities / np.maximum(counts, 1), 1.0)
     # One marginal per (link, flow-on-link) at that link's equal share; the
     # placeholder rate 1.0 for non-members is masked to +inf before sorting,
-    # so the upper median lands on the same element the scalar loop picks.
+    # so the upper median lands on the same element a per-link sort picks.
     marginals = compiled.vec_utils.marginal(np.where(incidence, shares[:, None], 1.0))
     marginals = np.where(incidence, marginals, np.inf)
     marginals.sort(axis=1)
@@ -148,7 +121,6 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
 def _scale_vector(
     price_scale: Optional[Mapping[LinkId, float]],
     network: FluidNetwork,
-    backend: str,
     active_links: List[LinkId],
 ) -> np.ndarray:
     """Price scale for the active links, computing or completing as needed.
@@ -158,7 +130,7 @@ def _scale_vector(
     the conditioning in the right ballpark without a full recompute.
     """
     if price_scale is None:
-        price_scale = estimate_price_scale(network, backend=backend)
+        price_scale = estimate_price_scale(network)
     if price_scale:
         fill = float(np.median(np.fromiter(price_scale.values(), dtype=float)))
     else:
@@ -171,7 +143,6 @@ def solve_num(
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
     initial_prices: Optional[Mapping[LinkId, float]] = None,
-    backend: str = "vectorized",
     price_scale: Optional[Mapping[LinkId, float]] = None,
     safeguard: bool = True,
 ) -> OracleResult:
@@ -185,9 +156,6 @@ def solve_num(
     initial_prices:
         Warm-start prices (e.g. from the previous solve of a dynamic
         scenario); links not present start at zero.
-    backend:
-        ``"vectorized"`` (default, batched array dual) or ``"scalar"``
-        (the per-flow reference implementation).
     price_scale:
         Cached conditioning from :func:`estimate_price_scale`; computed
         fresh when omitted.
@@ -203,21 +171,75 @@ def solve_num(
     flows = network.flows
     if any(flow.group_id is not None for flow in flows):
         raise ValueError("network contains multipath groups; use solve_num_multipath")
-    if backend not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown oracle backend {backend!r}")
     links = network.links
     if not flows:
         return OracleResult(rates={}, prices={link: 0.0 for link in links}, objective=0.0,
                             iterations=0, converged=True)
-    if backend == "vectorized":
-        return _solve_num_vectorized(
-            network, flows, links, max_iterations, tolerance, initial_prices,
-            price_scale, safeguard,
+    compiled = compile_network(network)
+    vec_utils = compiled.vec_utils
+    capacities_all = compiled.capacities_vector()
+    # Failed (zero-capacity) links are excluded like flowless ones: their
+    # price stays zero and path-capacity clipping already pins every flow
+    # crossing them to a zero rate, so they cannot condition the dual.
+    active = compiled.incidence.any(axis=1) & (capacities_all > 0.0)
+    active_idx = np.nonzero(active)[0]
+    active_links = [compiled.link_ids[i] for i in active_idx]
+    incidence = compiled.incidence[active]
+    incidence_f = compiled.incidence_f[active]
+    capacities = capacities_all[active]
+
+    path_caps = compiled.path_capacities(capacities_all)
+    floors = path_caps * _MIN_RATE_FRACTION
+
+    if not active_idx.size:
+        rates = {flow.flow_id: 0.0 for flow in flows}
+        return OracleResult(rates=rates, prices={link: 0.0 for link in links},
+                            objective=network.total_utility(rates),
+                            iterations=0, converged=True)
+
+    scale_vec = _scale_vector(price_scale, network, active_links)
+    objective_scale = float(np.max(capacities) * np.median(scale_vec))
+
+    def primal_rates_vec(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        path_prices = incidence_f.T @ prices
+        rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
+        return np.maximum(rates, floors), path_prices
+
+    def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
+        prices = scale_vec * z
+        rates, path_prices = primal_rates_vec(prices)
+        value = float(prices @ capacities + vec_utils.value(rates).sum() - rates @ path_prices)
+        load = incidence_f @ rates
+        gradient = scale_vec * (capacities - load)
+        return value / objective_scale, gradient / objective_scale
+
+    z0 = _warm_start(initial_prices, active_links, scale_vec)
+    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance)
+    prices = scale_vec * np.maximum(result.x, 0.0)
+    rate_vec, _ = primal_rates_vec(prices)
+    rate_vec = _rescale_to_feasible_arrays(incidence, incidence_f, rate_vec, capacities)
+    objective = float(vec_utils.value(rate_vec).sum())
+    rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
+
+    maxmin_rates = maxmin_objective = None
+    if safeguard:
+        # The reference allocation must respect *all* carrying links,
+        # including failed (zero-capacity) ones excluded from the dual --
+        # otherwise a dead-link flow looks entitled to a positive rate and
+        # the safeguard wrongly rejects the (correct) dual solution.
+        carrying = compiled.incidence.any(axis=1)
+        maxmin_vec = waterfill_arrays(
+            compiled.incidence[carrying], compiled.incidence_f[carrying],
+            np.ones(len(compiled.flow_ids)), capacities_all[carrying],
         )
-    return _solve_num_scalar(
-        network, flows, links, max_iterations, tolerance, initial_prices,
-        price_scale, safeguard,
-    )
+        maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
+        maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
+    price_dict = {link: 0.0 for link in links}
+    for position, link in enumerate(active_links):
+        price_dict[link] = float(prices[position])
+    return _finish(network, flows, links, rates, price_dict, objective,
+                   int(result.nit), bool(result.success),
+                   maxmin_rates, maxmin_objective, max_iterations)
 
 
 def _dual_minimize(dual_and_gradient, z0: np.ndarray, max_iterations: int, tolerance: float):
@@ -374,7 +396,7 @@ def _finish(
     maxmin_objective: Optional[float],
     max_iterations: int,
 ) -> OracleResult:
-    """Apply the max-min sanity check / primal fallback shared by both backends.
+    """Apply the max-min sanity check / primal fallback shared by the dual solvers.
 
     The optimum can never be worse than plain max-min (a feasible
     allocation).  For very steep utilities (alpha >= ~4) the dual becomes so
@@ -401,167 +423,6 @@ def _finish(
         )
     return OracleResult(rates=rates, prices=prices, objective=objective,
                         iterations=iterations, converged=success)
-
-
-def _solve_num_scalar(
-    network: FluidNetwork,
-    flows,
-    links: List[LinkId],
-    max_iterations: int,
-    tolerance: float,
-    initial_prices: Optional[Mapping[LinkId, float]],
-    price_scale: Optional[Mapping[LinkId, float]],
-    safeguard: bool,
-) -> OracleResult:
-    """The per-flow reference implementation of the dual solve."""
-    used = set()
-    for flow in flows:
-        used.update(flow.path)
-    # Failed (zero-capacity) links are excluded like flowless ones: their
-    # price stays zero and path-capacity clipping already pins every flow
-    # crossing them to a zero rate, so they cannot condition the dual.
-    active_links = [link for link in links if link in used and network.capacity(link) > 0.0]
-    if not active_links:
-        rates = {flow.flow_id: 0.0 for flow in flows}
-        return OracleResult(rates=rates, prices={link: 0.0 for link in links},
-                            objective=network.total_utility(rates),
-                            iterations=0, converged=True)
-    link_index = {link: i for i, link in enumerate(active_links)}
-    capacities = np.array([network.capacity(link) for link in active_links], dtype=float)
-
-    # Per-flow rate cap: the narrowest link on the path.  Clipping at the cap
-    # makes the inner maximization bounded even when the path price is ~0.
-    rate_caps = {flow.flow_id: network.path_capacity(flow.flow_id) for flow in flows}
-    rate_floors = {fid: cap * _MIN_RATE_FRACTION for fid, cap in rate_caps.items()}
-
-    scale_vec = _scale_vector(price_scale, network, "scalar", active_links)
-    objective_scale = float(np.max(capacities) * np.median(scale_vec))
-
-    def primal_rates(prices: np.ndarray) -> Dict[FlowId, float]:
-        rates = {}
-        for flow in flows:
-            q = _path_price(prices, link_index, flow.path)
-            cap = rate_caps[flow.flow_id]
-            if q <= 0.0:
-                rate = cap
-            else:
-                rate = min(flow.utility.inverse_marginal(q), cap)
-            rates[flow.flow_id] = max(rate, rate_floors[flow.flow_id])
-        return rates
-
-    def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-        prices = scale_vec * z
-        rates = primal_rates(prices)
-        value = float(np.dot(prices, capacities))
-        load = np.zeros(len(active_links))
-        for flow in flows:
-            x = rates[flow.flow_id]
-            q = _path_price(prices, link_index, flow.path)
-            value += flow.utility.value(x) - x * q
-            for link in flow.path:
-                index = link_index.get(link)  # dead links are not in the dual
-                if index is not None:
-                    load[index] += x
-        gradient = scale_vec * (capacities - load)
-        return value / objective_scale, gradient / objective_scale
-
-    z0 = _warm_start(initial_prices, active_links, scale_vec)
-    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance)
-    prices = scale_vec * np.maximum(result.x, 0.0)
-    rates = primal_rates(prices)
-    rates = _rescale_to_feasible(network, rates)
-    objective = network.total_utility(rates)
-
-    maxmin_rates = maxmin_objective = None
-    if safeguard:
-        from repro.fluid.maxmin import max_min as _max_min
-
-        maxmin_rates = _max_min({f.flow_id: f.path for f in flows}, network.capacities)
-        maxmin_objective = network.total_utility(maxmin_rates)
-    price_dict = {link: 0.0 for link in links}
-    for link in active_links:
-        price_dict[link] = float(prices[link_index[link]])
-    return _finish(network, flows, links, rates, price_dict, objective,
-                   int(result.nit), bool(result.success),
-                   maxmin_rates, maxmin_objective, max_iterations)
-
-
-def _solve_num_vectorized(
-    network: FluidNetwork,
-    flows,
-    links: List[LinkId],
-    max_iterations: int,
-    tolerance: float,
-    initial_prices: Optional[Mapping[LinkId, float]],
-    price_scale: Optional[Mapping[LinkId, float]],
-    safeguard: bool,
-) -> OracleResult:
-    """Batched dual solve over the compiled link x flow incidence."""
-    compiled = compile_network(network)
-    vec_utils = compiled.vec_utils
-    capacities_all = compiled.capacities_vector()
-    # Failed (zero-capacity) links are excluded like flowless ones: their
-    # price stays zero and path-capacity clipping already pins every flow
-    # crossing them to a zero rate, so they cannot condition the dual.
-    active = compiled.incidence.any(axis=1) & (capacities_all > 0.0)
-    active_idx = np.nonzero(active)[0]
-    active_links = [compiled.link_ids[i] for i in active_idx]
-    incidence = compiled.incidence[active]
-    incidence_f = compiled.incidence_f[active]
-    capacities = capacities_all[active]
-
-    path_caps = compiled.path_capacities(capacities_all)
-    floors = path_caps * _MIN_RATE_FRACTION
-
-    if not active_idx.size:
-        rates = {flow.flow_id: 0.0 for flow in flows}
-        return OracleResult(rates=rates, prices={link: 0.0 for link in links},
-                            objective=network.total_utility(rates),
-                            iterations=0, converged=True)
-
-    scale_vec = _scale_vector(price_scale, network, "vectorized", active_links)
-    objective_scale = float(np.max(capacities) * np.median(scale_vec))
-
-    def primal_rates_vec(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        path_prices = incidence_f.T @ prices
-        rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
-        return np.maximum(rates, floors), path_prices
-
-    def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-        prices = scale_vec * z
-        rates, path_prices = primal_rates_vec(prices)
-        value = float(prices @ capacities + vec_utils.value(rates).sum() - rates @ path_prices)
-        load = incidence_f @ rates
-        gradient = scale_vec * (capacities - load)
-        return value / objective_scale, gradient / objective_scale
-
-    z0 = _warm_start(initial_prices, active_links, scale_vec)
-    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance)
-    prices = scale_vec * np.maximum(result.x, 0.0)
-    rate_vec, _ = primal_rates_vec(prices)
-    rate_vec = _rescale_to_feasible_arrays(incidence, incidence_f, rate_vec, capacities)
-    objective = float(vec_utils.value(rate_vec).sum())
-    rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
-
-    maxmin_rates = maxmin_objective = None
-    if safeguard:
-        # The reference allocation must respect *all* carrying links,
-        # including failed (zero-capacity) ones excluded from the dual --
-        # otherwise a dead-link flow looks entitled to a positive rate and
-        # the safeguard wrongly rejects the (correct) dual solution.
-        carrying = compiled.incidence.any(axis=1)
-        maxmin_vec = waterfill_arrays(
-            compiled.incidence[carrying], compiled.incidence_f[carrying],
-            np.ones(len(compiled.flow_ids)), capacities_all[carrying],
-        )
-        maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
-        maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
-    price_dict = {link: 0.0 for link in links}
-    for position, link in enumerate(active_links):
-        price_dict[link] = float(prices[position])
-    return _finish(network, flows, links, rates, price_dict, objective,
-                   int(result.nit), bool(result.success),
-                   maxmin_rates, maxmin_objective, max_iterations)
 
 
 def _cold_start_precondition(
@@ -811,7 +672,7 @@ class PersistentDualSolver:
 
         maxmin_rates = maxmin_objective = None
         if self.safeguard:
-            # Full-capacity reference (see _solve_num_vectorized): failed
+            # Full-capacity reference (see solve_num): failed
             # links must constrain the safeguard allocation too.
             carrying = compiled.incidence.any(axis=1)
             maxmin_vec = waterfill_arrays(

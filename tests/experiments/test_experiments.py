@@ -1,7 +1,10 @@
 """Smoke and shape tests for the experiment harnesses (tiny configurations)."""
 
+import logging
+
 import pytest
 
+from repro.core.utility import AlphaFairUtility, LogUtility
 from repro.experiments import (
     format_table,
     run_bandwidth_function_sweep,
@@ -17,7 +20,10 @@ from repro.experiments.fig4_convergence import ConvergenceSettings
 from repro.experiments.fig5_dynamic import DeviationSettings
 from repro.experiments.fig7_fct import FlowLevelFctSettings, run_fct_flow_level
 from repro.experiments.fig8_resource_pooling import ResourcePoolingSettings
+from repro.experiments.dynamic_fluid import OracleRatePolicy
 from repro.experiments.registry import ExperimentResult
+from repro.fluid.network import FluidFlow, FluidNetwork
+from repro.fluid.oracle import PersistentDualSolver
 
 
 class TestRegistry:
@@ -109,16 +115,6 @@ class TestFig7FlowLevel:
             # The SRPT-like utility cannot do worse on average than fair sharing.
             assert row["ratio"] <= 1.0 + 1e-9
 
-    def test_flow_backends_agree(self):
-        settings_array = FlowLevelFctSettings(num_servers=8, num_leaves=2, num_flows=40)
-        settings_dict = FlowLevelFctSettings(
-            num_servers=8, num_leaves=2, num_flows=40, flow_backend="dict"
-        )
-        by_array = run_fct_flow_level(loads=[0.5], settings=settings_array)
-        by_dict = run_fct_flow_level(loads=[0.5], settings=settings_dict)
-        for key in ("fct_utility_mean_norm_fct", "proportional_p99_norm_fct"):
-            assert by_array.rows[0][key] == pytest.approx(by_dict.rows[0][key], rel=1e-12)
-
 
 class TestFig8:
     def test_resource_pooling_small(self):
@@ -153,3 +149,36 @@ class TestTables:
         values = {(r["scheme"], r["parameter"]): r["value"] for r in result.rows}
         assert values[("NUMFabric", "eta")] == 5.0
         assert values[("NUMFabric", "beta")] == 0.5
+
+
+class TestOracleRatePolicy:
+    LOGGER = "repro.experiments.dynamic_fluid"
+
+    def test_nonconverged_solve_is_counted_and_logged(self, caplog):
+        network = FluidNetwork({"l1": 9e9, "l2": 4e9})
+        network.add_flow(FluidFlow("long", ("l1", "l2"), LogUtility()))
+        network.add_flow(FluidFlow("s1", ("l1",), LogUtility(weight=2.0)))
+        network.add_flow(FluidFlow("s2", ("l2",), AlphaFairUtility(alpha=2.0)))
+        policy = OracleRatePolicy()
+        # One SPG iteration cannot reach the optimum of a two-bottleneck dual.
+        policy._persistent = PersistentDualSolver(max_iterations=1)
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            rates = policy.rates(network, 30e-6)
+        assert set(rates) == {"long", "s1", "s2"}  # still used, not dropped
+        assert policy.nonconverged == 1
+        warnings = [r for r in caplog.records if r.name == self.LOGGER]
+        assert len(warnings) == 1
+        assert warnings[0].levelno == logging.WARNING
+        assert "did not converge" in warnings[0].getMessage()
+        # The cached allocation is served without a new solve or warning.
+        policy.rates(network, 30e-6)
+        assert policy.nonconverged == 1
+        assert len([r for r in caplog.records if r.name == self.LOGGER]) == 1
+
+    def test_converged_solves_are_not_counted(self, caplog):
+        policy = OracleRatePolicy()
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            rates = policy.rates(FluidNetwork.single_link(10e9, 4), 30e-6)
+        assert sum(rates.values()) == pytest.approx(10e9, rel=1e-6)
+        assert policy.nonconverged == 0
+        assert not [r for r in caplog.records if r.name == self.LOGGER]

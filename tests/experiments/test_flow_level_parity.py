@@ -1,16 +1,19 @@
-"""Dict/array backend parity for the flow-level simulation (Fig. 5/7 engine).
+"""Dict/array parity for the flow-level simulation (Fig. 5/7 engine).
 
-The array backend must reproduce the dict reference exactly -- same
-completion order, same quantized finish times, same average rates -- across
-the edge cases the batched update has to preserve: zero-byte flows,
-simultaneous arrivals and completions inside one step, and ``max_time``
-truncation mid-flow.  The array backend's :meth:`run` is its streaming
-loop over the sorted list; one test pins that equivalence across pauses.
+The product's array loop must reproduce the per-flow dict reference twin
+(``tests/reference/flow_level.py``) exactly -- same completion order, same
+quantized finish times, same average rates -- across the edge cases the
+batched update has to preserve: zero-byte flows, simultaneous arrivals and
+completions inside one step, ``max_time`` truncation mid-flow, and a
+multi-bottleneck leaf-spine fabric.  :meth:`FlowLevelSimulation.run` is
+the streaming loop over the sorted list; one test pins that equivalence
+across pauses.
 """
 
 import random
 
 import pytest
+from reference import DictFlowLevelSimulation
 
 from repro.experiments.dynamic_fluid import (
     ArrivalStream,
@@ -20,7 +23,13 @@ from repro.experiments.dynamic_fluid import (
     scheme_rate_policy,
 )
 from repro.fluid.network import FluidNetwork
+from repro.scenarios.catalog import flow_level_fct_spec
 from repro.scenarios.faults import CapacityChange, CapacityInjector
+from repro.scenarios.materialize import (
+    build_fluid_topology,
+    materialize_arrivals,
+    utility_for_arrival_factory,
+)
 from repro.workloads.distributions import UniformFlowSizeDistribution
 from repro.workloads.poisson import FlowArrival, PoissonTrafficGenerator
 
@@ -33,12 +42,12 @@ def single_link_network():
 
 def run_single_link(arrivals, backend, policy=None, max_time=None, network=None):
     network = network or single_link_network()
-    simulation = FlowLevelSimulation(
+    simulation_cls = DictFlowLevelSimulation if backend == "dict" else FlowLevelSimulation
+    simulation = simulation_cls(
         network,
         lambda arrival: ("bottleneck",),
         policy or EqualSharePolicy(1e9),
         step_interval=STEP,
-        backend=backend,
     )
     return simulation, simulation.run(arrivals, max_time=max_time)
 
@@ -60,13 +69,6 @@ def arrival(flow_id, time, size_bytes):
 
 
 class TestBackendParity:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            FlowLevelSimulation(
-                single_link_network(), lambda a: ("bottleneck",), EqualSharePolicy(1e9),
-                backend="gpu",
-            )
-
     def test_poisson_workload_identical(self):
         generator = PoissonTrafficGenerator(
             num_servers=4,
@@ -166,13 +168,34 @@ class TestBackendParity:
         _, by_array = run_single_link(arrivals, "array", policy=OracleRatePolicy())
         assert_identical(by_dict, by_array)
 
+    def test_leaf_spine_fct_utilities_identical(self):
+        # The Fig. 7 flow-level scenario at toy scale: Poisson web-search
+        # arrivals on a two-leaf, two-spine fabric (multi-hop paths, several
+        # bottlenecks) under NUMFabric with x^(1-eps)/s FCT utilities.
+        spec = flow_level_fct_spec(num_servers=8, num_leaves=2, load=0.5, num_flows=40)
+        runs = []
+        for simulation_cls in (DictFlowLevelSimulation, FlowLevelSimulation):
+            topo = build_fluid_topology(spec)
+            simulation = simulation_cls(
+                topo.network,
+                lambda a, topo=topo: topo.path_for(a.source, a.destination, a.flow_id),
+                scheme_rate_policy("NUMFabric"),
+                step_interval=STEP,
+                utility_for_arrival=utility_for_arrival_factory(spec.objective),
+            )
+            runs.append(simulation.run(materialize_arrivals(spec, topo)))
+        by_dict, by_array = runs
+        assert len(by_array) == 40
+        assert by_dict == by_array
+        assert_identical(by_dict, by_array)
+
 
 class TestArrayInternals:
     def test_slot_compaction_preserves_admission_order(self):
         policy = EqualSharePolicy(1e9)
         simulation = FlowLevelSimulation(
             single_link_network(), lambda a: ("bottleneck",), policy,
-            step_interval=STEP, backend="array",
+            step_interval=STEP,
         )
         sizes = [5_000, 500_000, 5_000, 500_000, 5_000]
         simulation.run([arrival(i, 0.0, s) for i, s in enumerate(sizes)])
@@ -227,7 +250,7 @@ class TestArrayInternals:
         policy = StubPolicy()
         simulation = FlowLevelSimulation(
             single_link_network(), lambda a: ("bottleneck",), policy,
-            step_interval=STEP, backend="array",
+            step_interval=STEP,
         )
         simulation._append_flow(arrival(0, 0.0, 1_000))
         first = simulation._gather_rates({0: 5.0})

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import waterfill_one_bottleneck
+from reference import weighted_max_min as scalar_max_min
 
 from repro.fluid.maxmin import bottleneck_links, max_min, weighted_max_min
-from repro.fluid.vectorized import CompiledMaxMin, waterfill_arrays
+from repro.fluid.vectorized import CompiledMaxMin
 
 
 class TestWeightedMaxMinSingleLink:
@@ -111,7 +113,7 @@ class TestMaxMin:
 
 def _assert_batched_matches_scalar(weights, paths, capacities):
     """Batched waterfill == scalar progressive filling at 1e-9 relative."""
-    scalar = weighted_max_min(weights, paths, capacities)
+    scalar = scalar_max_min(weights, paths, capacities)
     compiled = CompiledMaxMin(paths, capacities)
     stats = {}
     rates = dict(
@@ -160,16 +162,15 @@ class TestBatchedWaterfill:
         capacities = {"a": 3.0, "b": 5.0, "core": 6.0}
         paths = {1: ["a", "core"], 2: ["b", "core"], 3: ["core"]}
         weights = {1: 1.0, 2: 2.0, 3: 1.0}
-        scalar = weighted_max_min(weights, paths, capacities)
+        scalar = scalar_max_min(weights, paths, capacities)
         compiled = CompiledMaxMin(paths, capacities)
         weight_vec = np.array([weights[f] for f in compiled.flow_ids])
         stats = {}
-        single = waterfill_arrays(
+        single = waterfill_one_bottleneck(
             compiled.incidence,
             compiled.incidence_f,
             weight_vec,
             compiled.capacities_vector(),
-            batch_ties=False,
             stats=stats,
         )
         for j, flow_id in enumerate(compiled.flow_ids):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import reference
 
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction
 from repro.core.config import SimulationParameters
@@ -163,7 +164,7 @@ def _max_rel_rate_diff(a, b):
 
 
 def _parity_grid():
-    """Well-conditioned problems where both backends pin the same optimum."""
+    """Well-conditioned problems where the batched dual and its twin pin the same optimum."""
     cases = {}
 
     single_log = FluidNetwork.single_link(
@@ -210,29 +211,23 @@ def _parity_grid():
 
 
 class TestBackendParity:
-    """The vectorized dual must match the scalar reference on the parity grid."""
+    """The batched dual must match its per-flow scalar twin on the parity grid."""
 
     @pytest.mark.parametrize("name", sorted(_parity_grid()))
     def test_rates_match_within_1e9(self, name):
         network = _parity_grid()[name]
-        scalar = solve_num(network, backend="scalar")
-        vectorized = solve_num(network, backend="vectorized")
+        scalar = reference.solve_num(network)
+        vectorized = solve_num(network)
         assert _max_rel_rate_diff(scalar.rates, vectorized.rates) <= 1e-9
         assert abs(scalar.objective - vectorized.objective) <= 1e-9 * max(
             abs(scalar.objective), 1.0
         )
         assert scalar.converged == vectorized.converged
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve_num(FluidNetwork.single_link(1e9, 1), backend="quantum")
-        with pytest.raises(ValueError):
-            estimate_price_scale(FluidNetwork.single_link(1e9, 1), backend="quantum")
-
     def test_price_scale_estimates_match(self):
         for name, network in _parity_grid().items():
-            scalar = estimate_price_scale(network, backend="scalar")
-            vectorized = estimate_price_scale(network, backend="vectorized")
+            scalar = reference.estimate_price_scale(network)
+            vectorized = estimate_price_scale(network)
             assert scalar.keys() == vectorized.keys(), name
             for link, value in scalar.items():
                 assert vectorized[link] == pytest.approx(value, rel=1e-12), (name, link)
@@ -240,8 +235,8 @@ class TestBackendParity:
     def test_unused_links_priced_zero_and_excluded(self):
         network = FluidNetwork({"used": 1e9, "idle": 5e9})
         network.add_flow(FluidFlow("f", ("used",), LogUtility()))
-        for backend in ("scalar", "vectorized"):
-            result = solve_num(network, backend=backend)
+        for solve in (reference.solve_num, solve_num):
+            result = solve(network)
             assert result.prices["idle"] == 0.0
             assert result.rates["f"] == pytest.approx(1e9, rel=1e-3)
 
@@ -290,13 +285,13 @@ class TestBackendParity:
 
     def test_fallback_utility_flows_use_scalar_path(self):
         # BandwidthFunctionUtility has no closed-form batched family, so the
-        # vectorized backend must route it through per-flow scalar calls.
+        # batched dual must route it through per-flow scalar calls.
         bwf = PiecewiseLinearBandwidthFunction([(0.0, 0.0), (2.0, 6e9), (4.0, 8e9)])
         network = FluidNetwork({"l": 10e9})
         network.add_flow(FluidFlow("bw", ("l",), BandwidthFunctionUtility(bwf)))
         network.add_flow(FluidFlow("log", ("l",), LogUtility()))
-        scalar = solve_num(network, backend="scalar")
-        vectorized = solve_num(network, backend="vectorized")
+        scalar = reference.solve_num(network)
+        vectorized = solve_num(network)
         assert _max_rel_rate_diff(scalar.rates, vectorized.rates) <= 1e-9
 
 

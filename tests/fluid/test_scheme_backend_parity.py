@@ -1,12 +1,13 @@
-"""Parity suite for the vectorized DGD / RCP* / DCTCP backends + CompiledMaxMin.
+"""Parity suite for the DGD / RCP* / DCTCP simulators + CompiledMaxMin.
 
 Mirrors ``tests/fluid/test_vectorized_parity.py`` (the xWI suite): every
-test drives the scalar and the vectorized backend of a scheme through the
-same scenario and asserts that rates AND the per-link state (prices, fair
-rates, queues) agree within 1e-9 -- far looser than the observed agreement
-(~1e-15 relative), but tight enough that any semantic divergence fails
-immediately.  Each scheme gets the Table 2 parameter grid, a churn trace,
-and a hypothesis-driven random-topology comparison.
+test drives a scheme's scalar reference twin (``tests/reference/``) and the
+product simulator through the same scenario and asserts that rates AND the
+per-link state (prices, fair rates, queues) agree within 1e-9 -- far
+looser than the observed agreement (~1e-15 relative), but tight enough that
+any semantic divergence fails immediately.  Each scheme gets the Table 2
+parameter grid, a churn trace, and a hypothesis-driven random-topology
+comparison.
 """
 
 import copy
@@ -14,11 +15,16 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import reference
+from reference import (
+    ScalarDctcpFluidSimulator,
+    ScalarDgdFluidSimulator,
+    ScalarRcpStarFluidSimulator,
+)
 
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility, WeightedAlphaFairUtility
 from repro.fluid.dctcp import DctcpFluidParameters, DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidParameters, DgdFluidSimulator
-from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.rcp import RcpStarFluidParameters, RcpStarFluidSimulator
 from repro.fluid.vectorized import CompiledMaxMin, compile_max_min
@@ -29,6 +35,13 @@ SCHEMES = {
     "dgd": (DgdFluidSimulator, DgdFluidParameters),
     "rcp_star": (RcpStarFluidSimulator, RcpStarFluidParameters),
     "dctcp": (DctcpFluidSimulator, DctcpFluidParameters),
+}
+
+#: Each product simulator's per-flow scalar reference twin.
+SCALAR = {
+    DgdFluidSimulator: ScalarDgdFluidSimulator,
+    RcpStarFluidSimulator: ScalarRcpStarFluidSimulator,
+    DctcpFluidSimulator: ScalarDctcpFluidSimulator,
 }
 
 #: Per-scheme gain/parameter variants around the Table 2 operating points.
@@ -111,8 +124,8 @@ class TestSchemeBackendParity:
         """Parity must hold across the gain grid, not just the defaults."""
         simulator_cls, _ = SCHEMES[scheme]
         networks = build_pair()
-        scalar = simulator_cls(networks[0], params=params)
-        vectorized = simulator_cls(networks[1], params=params, backend="vectorized")
+        scalar = SCALAR[simulator_cls](networks[0], params=params)
+        vectorized = simulator_cls(networks[1], params=params)
         assert_step_parity(scalar, vectorized, 150)
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -122,8 +135,8 @@ class TestSchemeBackendParity:
         networks = make_pair({"a": 10e9, "b": 4e9})
         add_to_both(networks, 0, ("a",), LogUtility())
         add_to_both(networks, 1, ("a", "b"), LogUtility(weight=2.0))
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = SCALAR[simulator_cls](networks[0])
+        vectorized = simulator_cls(networks[1])
         trace = [
             ("run", 30),
             ("add", 2, ("b",), AlphaFairUtility(alpha=2.0)),
@@ -152,8 +165,8 @@ class TestSchemeBackendParity:
         networks = make_pair({"l": 10e9})
         add_to_both(networks, 0, ("l",), LogUtility())
         add_to_both(networks, 1, ("l",), LogUtility())
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = SCALAR[simulator_cls](networks[0])
+        vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 40)
         compiled_before = vectorized._compiled
         for network in networks:
@@ -162,23 +175,17 @@ class TestSchemeBackendParity:
         assert vectorized._compiled is compiled_before
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_unknown_backend_rejected(self, scheme):
-        simulator_cls, _ = SCHEMES[scheme]
-        with pytest.raises(ValueError):
-            simulator_cls(FluidNetwork({"l": 1e9}), backend="gpu")
-
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_empty_network(self, scheme):
         """A flowless step must work on both backends (prices still move)."""
         simulator_cls, _ = SCHEMES[scheme]
         networks = make_pair({"l": 1e9})
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = SCALAR[simulator_cls](networks[0])
+        vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 5)
 
     def test_dctcp_departure_cleans_vectorized_state(self):
         network = FluidNetwork.single_link(10e9, 2)
-        simulator = DctcpFluidSimulator(network, backend="vectorized")
+        simulator = DctcpFluidSimulator(network)
         simulator.run(10)
         network.remove_flow(0)
         simulator.run(10)
@@ -191,8 +198,8 @@ class TestSchemeBackendParity:
         networks = make_pair({"l": 10e9})
         for i in range(2):
             add_to_both(networks, i, ("l",), LogUtility())
-        scalar = DctcpFluidSimulator(networks[0])
-        vectorized = DctcpFluidSimulator(networks[1], backend="vectorized")
+        scalar = ScalarDctcpFluidSimulator(networks[0])
+        vectorized = DctcpFluidSimulator(networks[1])
         assert_step_parity(scalar, vectorized, 10)
         override = {0: 5e4, 1: 7e4}
         scalar.windows = dict(override)
@@ -214,8 +221,8 @@ class TestSchemeBackendParity:
         networks = make_pair({"l": 10e9})
         for i in range(4):
             add_to_both(networks, i, ("l",), LogUtility())
-        scalar = DctcpFluidSimulator(networks[0])
-        vectorized = DctcpFluidSimulator(networks[1], backend="vectorized")
+        scalar = ScalarDctcpFluidSimulator(networks[0])
+        vectorized = DctcpFluidSimulator(networks[1])
         assert_step_parity(scalar, vectorized, 120)  # long enough to mark
         add_to_both(networks, 99, ("l",), LogUtility())
         assert_step_parity(scalar, vectorized, 120)
@@ -258,8 +265,8 @@ class TestRandomTopologyParity:
         networks = make_pair(capacities)
         for flow_id, path, utility in flows:
             add_to_both(networks, flow_id, path, utility)
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = SCALAR[simulator_cls](networks[0])
+        vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 40)
 
 
@@ -282,7 +289,7 @@ class TestCompiledMaxMin:
         for _ in range(10):
             weights = {f: rng.uniform(0.1, 5.0) for f in paths}
             assert_close(
-                weighted_max_min(weights, paths, capacities),
+                reference.weighted_max_min(weights, paths, capacities),
                 compiled.solve(weights),
                 scale=1e9,
             )
@@ -295,7 +302,7 @@ class TestCompiledMaxMin:
         weights = {0: 1.0, 1: 3.0}
         paths = {0: ("a", "b"), 1: ("b",)}
         assert_close(
-            weighted_max_min(weights, paths, network.capacities),
+            reference.weighted_max_min(weights, paths, network.capacities),
             compiled.solve(weights),
             scale=1e9,
         )
@@ -305,13 +312,13 @@ class TestCompiledMaxMin:
         compiled = compile_max_min(paths, capacities)
         halved = {link: capacity / 2 for link, capacity in capacities.items()}
         assert_close(
-            weighted_max_min(weights, paths, halved),
+            reference.weighted_max_min(weights, paths, halved),
             compiled.solve(weights, capacities=halved),
             scale=1e9,
         )
         # ...and the compile-time capacities are untouched afterwards.
         assert_close(
-            weighted_max_min(weights, paths, capacities),
+            reference.weighted_max_min(weights, paths, capacities),
             compiled.solve(weights),
             scale=1e9,
         )

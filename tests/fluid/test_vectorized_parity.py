@@ -1,15 +1,17 @@
-"""Parity suite: the vectorized fluid backend must match the scalar reference.
+"""Parity suite: the fluid engine must match its per-flow scalar reference.
 
-Every test drives the scalar and the vectorized backend through the same
-scenario and asserts the allocations (and prices) agree within 1e-9 --
-far looser than the observed agreement (~1e-12 relative), but tight enough
-that any semantic divergence (different clamping, different update order)
-fails immediately.
+Every test drives the scalar reference twin (``tests/reference/``) and the
+product simulator through the same scenario and asserts the allocations
+(and prices) agree within 1e-9 -- far looser than the observed agreement
+(~1e-12 relative), but tight enough that any semantic divergence
+(different clamping, different update order) fails immediately.
 """
 
 import copy
 
 import pytest
+from reference import ScalarXwiFluidSimulator
+import reference
 
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction
 from repro.core.config import NumFabricParameters
@@ -47,8 +49,8 @@ def add_to_both(networks, flow_id, path, utility, group_id=None):
 
 
 def run_both(networks, iterations, params=None):
-    scalar = XwiFluidSimulator(networks[0], params=params)
-    vectorized = XwiFluidSimulator(networks[1], params=params, backend="vectorized")
+    scalar = ScalarXwiFluidSimulator(networks[0], params=params)
+    vectorized = XwiFluidSimulator(networks[1], params=params)
     for _ in range(iterations):
         scalar_record = scalar.step()
         vectorized_record = vectorized.step()
@@ -62,8 +64,8 @@ class TestMaxMinBackendParity:
         paths = {i: ("l",) for i in range(10)}
         capacities = {"l": 10e9}
         assert_parity(
+            reference.weighted_max_min(weights, paths, capacities),
             weighted_max_min(weights, paths, capacities),
-            weighted_max_min(weights, paths, capacities, backend="vectorized"),
             scale=1e9,
         )
 
@@ -72,8 +74,8 @@ class TestMaxMinBackendParity:
         paths = {"long": ("l1", "l2"), "s1": ("l1",), "s2": ("l2",)}
         capacities = {"l1": 9e9, "l2": 3e9}
         assert_parity(
+            reference.weighted_max_min(weights, paths, capacities),
             weighted_max_min(weights, paths, capacities),
-            weighted_max_min(weights, paths, capacities, backend="vectorized"),
             scale=1e9,
         )
 
@@ -81,39 +83,27 @@ class TestMaxMinBackendParity:
         weights = {0: 1.0}
         paths = {0: ("used",)}
         capacities = {"used": 1e9, "unused": 5e9}
-        result = weighted_max_min(weights, paths, capacities, backend="vectorized")
+        result = weighted_max_min(weights, paths, capacities)
         assert result[0] == pytest.approx(1e9)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_max_min({0: 1.0}, {0: ("l",)}, {"l": 1e9}, backend="gpu")
-        with pytest.raises(ValueError):
-            XwiFluidSimulator(FluidNetwork({"l": 1e9}), backend="gpu")
 
     def test_duplicate_link_paths_rejected(self):
         """A repeated link can't be represented in the incidence matrix, so
-        both entry points refuse it instead of letting the backends diverge."""
-        from repro.fluid.vectorized import weighted_max_min_vectorized
-
+        both entry points refuse it instead of letting the two diverge."""
+        with pytest.raises(ValueError, match="twice"):
+            reference.weighted_max_min({0: 1.0}, {0: ("l", "l")}, {"l": 1e9})
         with pytest.raises(ValueError, match="twice"):
             weighted_max_min({0: 1.0}, {0: ("l", "l")}, {"l": 1e9})
-        with pytest.raises(ValueError, match="twice"):
-            weighted_max_min({0: 1.0}, {0: ("l", "l")}, {"l": 1e9}, backend="vectorized")
-        with pytest.raises(ValueError, match="twice"):
-            weighted_max_min_vectorized({0: 1.0}, {0: ("l", "l")}, {"l": 1e9})
         with pytest.raises(ValueError, match="twice"):
             FluidFlow(0, ("l", "l"))
 
     def test_direct_vectorized_wrapper_validates(self):
-        """The exported wrapper applies the same validation as the scalar API."""
-        from repro.fluid.vectorized import weighted_max_min_vectorized
-
+        """The product entry point applies the same validation as the scalar twin."""
         with pytest.raises(ValueError):
-            weighted_max_min_vectorized({0: -1.0}, {0: ("l",)}, {"l": 1e9})
+            weighted_max_min({0: -1.0}, {0: ("l",)}, {"l": 1e9})
         with pytest.raises(ValueError):
-            weighted_max_min_vectorized({0: 1.0}, {1: ("l",)}, {"l": 1e9})
+            weighted_max_min({0: 1.0}, {1: ("l",)}, {"l": 1e9})
         with pytest.raises(KeyError):
-            weighted_max_min_vectorized({0: 1.0}, {0: ("ghost",)}, {"l": 1e9})
+            weighted_max_min({0: 1.0}, {0: ("ghost",)}, {"l": 1e9})
 
 
 class TestXwiBackendParity:
@@ -165,8 +155,8 @@ class TestXwiBackendParity:
         networks = make_pair({"a": 10e9, "b": 4e9})
         add_to_both(networks, 0, ("a",), LogUtility())
         add_to_both(networks, 1, ("a", "b"), LogUtility(weight=2.0))
-        scalar = XwiFluidSimulator(networks[0])
-        vectorized = XwiFluidSimulator(networks[1], backend="vectorized")
+        scalar = ScalarXwiFluidSimulator(networks[0])
+        vectorized = XwiFluidSimulator(networks[1])
         trace = [
             ("run", 25),
             ("add", 2, ("b",), AlphaFairUtility(alpha=2.0)),
@@ -225,7 +215,7 @@ class TestXwiBackendParity:
         assert vectorized.last_rates[0] == pytest.approx(9e8, rel=1e-3)
 
     def test_empty_network_step(self):
-        vectorized = XwiFluidSimulator(FluidNetwork({"l": 1e9}), backend="vectorized")
+        vectorized = XwiFluidSimulator(FluidNetwork({"l": 1e9}))
         record = vectorized.step()
         assert record.rates == {}
         assert record.prices == {"l": 0.0}

@@ -12,11 +12,17 @@ import math
 
 import numpy as np
 import pytest
+import reference
+from reference import (
+    ScalarDctcpFluidSimulator,
+    ScalarDgdFluidSimulator,
+    ScalarRcpStarFluidSimulator,
+    ScalarXwiFluidSimulator,
+)
 
 from repro.core.utility import LogUtility
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
-from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver, solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
@@ -24,6 +30,24 @@ from repro.fluid.vectorized import compile_max_min
 from repro.fluid.xwi import XwiFluidSimulator
 
 DEAD_CAPACITIES = [0.0, 1e-12]
+
+#: ``backend`` parameter -> simulator class: the product, or its per-flow
+#: scalar reference twin.
+SIMULATORS = {
+    "scalar": {
+        XwiFluidSimulator: ScalarXwiFluidSimulator,
+        DgdFluidSimulator: ScalarDgdFluidSimulator,
+        RcpStarFluidSimulator: ScalarRcpStarFluidSimulator,
+        DctcpFluidSimulator: ScalarDctcpFluidSimulator,
+    },
+    "vectorized": {},
+}
+#: ``backend`` parameter -> Oracle solve: the product, or the per-flow twin.
+SOLVERS = {"scalar": reference.solve_num, "vectorized": solve_num}
+
+
+def simulator_for(simulator_cls, backend, network):
+    return SIMULATORS[backend].get(simulator_cls, simulator_cls)(network)
 
 
 def two_link_network(dead_capacity: float) -> FluidNetwork:
@@ -69,7 +93,7 @@ def test_set_capacity_bumps_capacity_version():
 def test_weighted_max_min_scalar_zero_capacity(dead):
     weights = {"a": 1.0, "b": 1.0, "ab": 1.0}
     paths = {"a": ("shared",), "b": ("dead",), "ab": ("shared", "dead")}
-    rates = weighted_max_min(weights, paths, {"shared": 10e9, "dead": dead})
+    rates = reference.weighted_max_min(weights, paths, {"shared": 10e9, "dead": dead})
     assert_finite_rates(rates, dead)
     assert rates["a"] > 0.0
 
@@ -81,7 +105,7 @@ def test_waterfill_arrays_zero_capacity(dead):
     rates = compiled.solve({"a": 1.0, "b": 1.0, "ab": 1.0})
     assert_finite_rates(rates, dead)
     # Parity with the scalar reference on the degenerate instance.
-    scalar = weighted_max_min(
+    scalar = reference.weighted_max_min(
         {"a": 1.0, "b": 1.0, "ab": 1.0}, paths, {"shared": 10e9, "dead": dead}
     )
     for flow_id, rate in scalar.items():
@@ -96,7 +120,7 @@ def test_waterfill_arrays_zero_capacity(dead):
 )
 def test_fluid_simulators_survive_dead_link(simulator_cls, backend, dead):
     network = two_link_network(dead)
-    simulator = simulator_cls(network, backend=backend)
+    simulator = simulator_for(simulator_cls, backend, network)
     record = None
     for _ in range(30):
         record = simulator.step()
@@ -114,7 +138,7 @@ def test_fluid_simulators_survive_dead_link(simulator_cls, backend, dead):
 @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
 def test_fluid_simulator_recovers_after_restore(backend):
     network = two_link_network(0.0)
-    simulator = XwiFluidSimulator(network, backend=backend)
+    simulator = simulator_for(XwiFluidSimulator, backend, network)
     for _ in range(20):
         simulator.step()
     network.set_capacity("dead", 10e9)
@@ -128,7 +152,7 @@ def test_fluid_simulator_recovers_after_restore(backend):
 @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
 def test_solve_num_zero_capacity(backend, dead):
     network = two_link_network(dead)
-    result = solve_num(network, backend=backend)
+    result = SOLVERS[backend](network)
     assert result.converged
     assert_finite_rates(result.rates, dead)
     assert math.isfinite(result.objective)
@@ -144,7 +168,7 @@ def test_solve_num_every_link_dead(backend):
     network.add_flow(FluidFlow("f2", ("l1", "l2"), LogUtility()))
     network.set_capacity("l1", 0.0)
     network.set_capacity("l2", 0.0)
-    result = solve_num(network, backend=backend)
+    result = SOLVERS[backend](network)
     assert result.converged
     assert result.rates == {"f1": 0.0, "f2": 0.0}
     assert all(price == 0.0 for price in result.prices.values())
@@ -157,8 +181,8 @@ def test_persistent_dual_solver_zero_capacity(dead):
     solver = PersistentDualSolver()
     result = solver.solve(network)
     assert_finite_rates(result.rates, dead)
-    reference = solve_num(network, backend="vectorized")
-    assert result.rates["a"] == pytest.approx(reference.rates["a"], rel=1e-3)
+    fresh = solve_num(network)
+    assert result.rates["a"] == pytest.approx(fresh.rates["a"], rel=1e-3)
 
 
 def test_persistent_dual_solver_warm_across_fault():
@@ -171,7 +195,7 @@ def test_persistent_dual_solver_warm_across_fault():
 
     def check():
         mine = solver.solve(network)
-        fresh = solve_num(network, backend="vectorized")
+        fresh = solve_num(network)
         for flow_id, rate in fresh.rates.items():
             assert mine.rates[flow_id] == pytest.approx(rate, rel=1e-3, abs=1.0)
         assert_finite_rates(mine.rates, network.capacity("dead"))
@@ -207,7 +231,7 @@ def test_persistent_dual_solver_invalidates_on_capacity_change():
 
 def test_zero_capacity_property():
     """Property test: random topologies with randomly failed links never
-    produce non-finite rates or prices on either backend."""
+    produce non-finite rates or prices, in the product or its twin."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -231,8 +255,8 @@ def test_zero_capacity_property():
             network.add_flow(FluidFlow(f"f{j}", tuple(path), LogUtility()))
         for link, capacity in zip(links, capacities):
             network.set_capacity(link, capacity)
-        for backend in ("scalar", "vectorized"):
-            result = solve_num(network, backend=backend)
+        for solve in SOLVERS.values():
+            result = solve(network)
             values = list(result.rates.values()) + list(result.prices.values())
             assert np.all(np.isfinite(values))
             assert all(rate >= 0.0 for rate in result.rates.values())

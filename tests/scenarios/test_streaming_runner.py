@@ -157,11 +157,6 @@ class TestRunScenarioIntegration:
         with pytest.raises(ValueError, match="flow engine only"):
             run_scenario_streaming(spec, engine="fluid")
 
-    def test_streaming_rejects_dict_backend(self):
-        spec = _sized_spec(50, seed=2)
-        with pytest.raises(ValueError, match="array"):
-            run_scenario_streaming(spec, engine="flow", flow_backend="dict")
-
 
 class TestBoundedMemory:
     def test_streaming_peak_below_posthoc_peak(self):

@@ -3,6 +3,8 @@
 import math
 
 from hypothesis import given, settings, strategies as st
+import reference
+from reference import ScalarXwiFluidSimulator
 
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction, single_link_allocation
 from repro.core.utility import (
@@ -130,8 +132,8 @@ class TestWeightedMaxMinProperties:
     def test_vectorized_backend_matches_scalar(self, instance):
         """The NumPy water-filling gives the scalar allocation on any topology."""
         flow_weights, paths, capacities = instance
-        scalar = weighted_max_min(flow_weights, paths, capacities)
-        vectorized = weighted_max_min(flow_weights, paths, capacities, backend="vectorized")
+        scalar = reference.weighted_max_min(flow_weights, paths, capacities)
+        vectorized = weighted_max_min(flow_weights, paths, capacities)
         assert set(scalar) == set(vectorized)
         for flow, rate in scalar.items():
             assert math.isclose(vectorized[flow], rate, rel_tol=1e-9, abs_tol=1e-9)
@@ -182,8 +184,8 @@ class TestXwiBackendParityProperties:
         mirror = FluidNetwork(dict(network.capacities))
         for flow in network.flows:
             mirror.add_flow(FluidFlow(flow.flow_id, flow.path, copy.deepcopy(flow.utility)))
-        scalar = XwiFluidSimulator(network)
-        vectorized = XwiFluidSimulator(mirror, backend="vectorized")
+        scalar = ScalarXwiFluidSimulator(network)
+        vectorized = XwiFluidSimulator(mirror)
         for _ in range(iterations):
             scalar_record = scalar.step()
             vectorized_record = vectorized.step()
